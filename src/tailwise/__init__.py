@@ -13,7 +13,7 @@ from .allocate import (
 )
 from .data import CorpusKind, DataConfig, gen_corpus
 from .manifest import load_manifest, save_manifest
-from .model import Model, ModelConfig, backward, build_model, forward_loss, loss_and_grads
+from .model import Model, ModelConfig, build_model, forward_loss, loss_and_grads
 from .optim import OptimizerKind, adamw_step, clip_gradients, init_moments
 from .schedule import (
     BaseSchedule,
@@ -21,21 +21,19 @@ from .schedule import (
     ScheduleState,
     SwitchMode,
     base_lr_at,
-    export_timeline,
     layer_lr_at,
+    lrs_at,
     on_step,
 )
-from .spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm, spectral_norm
+from .spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
 from .tailfit import (
     FitConfig,
     FitMethod,
-    MetricKind,
     SpectralSummary,
     fit_alpha,
     hill_alpha,
-    metric_value,
     summarize,
 )
-from .train import OptimConfig, TrainMode, TrainRun, run_training
+from .train import OptimConfig, TrainMode, TrainRun, run_training, sweep_summaries
 
 __version__ = "0.1.0"

@@ -53,8 +53,6 @@ class PlanConfig:
     s: float = 5.0
     assignment: Assignment = Assignment.LINEAR
     embedding_override: bool = True
-    # Whether override-pinned layers still contribute to alpha_min/alpha_max.
-    include_pinned_in_extremes: bool = True
     # Optional safety clamp of the unbounded sqrt/log2 maps to [eta, s*eta].
     clamp_mean_normalized: bool = False
 
@@ -94,29 +92,14 @@ class LRPlan:
         return max(lr for _, lr in self.per_layer)
 
 
-def _alpha_extremes(alphas: AlphaList, cfg: PlanConfig, roles: RoleMap | None) -> tuple[float, float]:
-    pool = []
-    for name, a in alphas:
-        if not math.isfinite(a):
-            continue
-        if (
-            not cfg.include_pinned_in_extremes
-            and roles is not None
-            and roles.get(name) in PINNED_ROLES
-        ):
-            continue
-        pool.append(a)
+def _alpha_extremes(alphas: AlphaList) -> tuple[float, float]:
+    pool = [a for _, a in alphas if math.isfinite(a)]
     if not pool:
         return math.nan, math.nan
     return min(pool), max(pool)
 
 
-def linear_map(
-    alphas: AlphaList,
-    cfg: PlanConfig,
-    roles: RoleMap | None = None,
-    step: int = 0,
-) -> LRPlan:
+def linear_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LRPlan:
     """Bounded linear (or inverse-linear) alpha-to-LR map.
 
     Infinite-alpha layers (degenerate spectra) count as least heavy-tailed:
@@ -126,7 +109,7 @@ def linear_map(
     """
     if not alphas:
         raise EmptyInput("no alphas to allocate over")
-    amin, amax = _alpha_extremes(alphas, cfg, roles)
+    amin, amax = _alpha_extremes(alphas)
     inverse = cfg.assignment is Assignment.LINEAR_INVERSE
     span = amax - amin
     per_layer = []
@@ -187,7 +170,7 @@ def apply_embedding_override(plan: LRPlan, roles: RoleMap, cfg: PlanConfig) -> L
 def build_plan(alphas: AlphaList, roles: RoleMap, cfg: PlanConfig, step: int = 0) -> LRPlan:
     """Assignment dispatch plus embedding override: the full allocation step."""
     if cfg.assignment in (Assignment.LINEAR, Assignment.LINEAR_INVERSE):
-        plan = linear_map(alphas, cfg, roles, step)
+        plan = linear_map(alphas, cfg, step)
     else:
         plan = mean_normalized_map(alphas, cfg, step)
     return apply_embedding_override(plan, roles, cfg)

@@ -1,8 +1,9 @@
 """Command-line surface: analyze, plan, schedule, train.
 
 Exit codes: 0 success, 2 usage or bad configuration, 3 data error,
-4 numerical failure. Errors are also emitted as one JSON record on
-stderr so callers can parse failures.
+4 numerical failure (any other tailwise error too). Errors are also
+emitted as one JSON record on stderr so callers can parse failures.
+A diverged training run still writes its partial outputs before exiting 4.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .allocate import Assignment, PlanConfig, build_plan
+import numpy as np
+
+from .allocate import Assignment, PlanConfig
 from .data import CorpusKind, DataConfig
-from .errors import DataError, DivergedLoss, InvalidConfig, NumericalError, ParseError
+from .errors import DataError, DivergedLoss, EmptyInput, InvalidConfig, ParseError, TailwiseError
 from .manifest import load_manifest
 from .model import ModelConfig
 from .optim import OptimizerKind
@@ -23,11 +26,12 @@ from .reports import (
     plan_document,
     render_document,
     run_summary,
+    sweep_plan,
     timeline_csv,
 )
-from .schedule import BaseSchedule, ScheduleConfig, ScheduleState, SwitchMode, export_timeline, on_step
-from .tailfit import FitConfig, FitMethod, summarize
-from .train import OptimConfig, TrainMode, run_training
+from .schedule import BaseSchedule, ScheduleConfig, ScheduleState, SwitchMode, lrs_at, on_step
+from .tailfit import FitConfig, FitMethod
+from .train import OptimConfig, TrainMode, TrainRun, run_training, sweep_summaries
 
 
 def _write(out: str | None, text: str) -> None:
@@ -71,12 +75,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_plan(args) -> int:
     matrices = load_manifest(args.manifest)
-    fit_cfg = _fit_config(args)
     plan_cfg = _plan_config(args)
-    summaries = [summarize(w, fit_cfg) for w in matrices]
-    alphas = [(s.layer_name, s.alpha) for s in summaries]
-    roles = {w.name: w.role for w in matrices}
-    plan = build_plan(alphas, roles, plan_cfg)
+    _, _, plan = sweep_plan(matrices, _fit_config(args), plan_cfg)
+    if plan is None:
+        raise EmptyInput(f"{args.manifest}: no layer could be fitted")
     _write(args.out, render_document(plan_document(plan, plan_cfg, args.method)))
     return 0
 
@@ -96,32 +98,38 @@ def cmd_schedule(args) -> int:
         switch_mode=SwitchMode(args.switch_mode),
     )
     # Alphas are frozen from the manifest: every recompute sees the same fit.
-    summaries = [summarize(w, fit_cfg) for w in matrices]
+    summaries, _ = sweep_summaries(matrices, fit_cfg)
     alphas = [(s.layer_name, s.alpha) for s in summaries]
     roles = {w.name: w.role for w in matrices}
-    states = []
+    names = [w.name for w in matrices]
+    rows = []
     state = ScheduleState.initial()
     for t in range(args.steps):
         state = on_step(state, cfg, lambda _t: alphas, plan_cfg, roles, t)
-        states.append(state)
-    _write(args.out, timeline_csv(export_timeline(states, cfg)))
+        lrs = lrs_at(state, cfg, plan_cfg.eta, names, t)
+        rows.extend((t, name, lrs[name]) for name in names)
+    _write(args.out, timeline_csv(rows))
     return 0
+
+
+_CONFIG_KEYS = {"steps", "model", "data", "optim", "plan", "schedule", "fit"}
+_OPTIM_KEYS = {"optimizer", "eta", "betas", "eps", "weight_decay", "grad_clip", "mode"}
 
 
 def _config_from(doc: dict, section: str, builder, **extra):
     entries = dict(doc.get(section, {}))
     entries.update(extra)
-    try:
-        return builder(**entries)
-    except TypeError as exc:
-        raise ParseError(f"config section {section!r}: {exc}") from exc
+    return builder(**entries)
 
 
-def cmd_train(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{args.config}: {exc}") from exc
+def _check_keys(where: str, entries: dict, known: set[str]) -> None:
+    unknown = sorted(set(entries) - known)
+    if unknown:
+        raise InvalidConfig(f"{where}: unknown keys {unknown}")
+
+
+def _train_configs(doc: dict) -> tuple[int, ModelConfig, OptimConfig, DataConfig]:
+    _check_keys("config", doc, _CONFIG_KEYS)
     steps = int(doc.get("steps", 2000))
 
     model_cfg = _config_from(doc, "model", ModelConfig)
@@ -130,6 +138,7 @@ def cmd_train(args) -> int:
                             vocab=doc.get("data", {}).get("vocab", model_cfg.vocab))
 
     optim = dict(doc.get("optim", {}))
+    _check_keys("config section 'optim'", optim, _OPTIM_KEYS)
     eta = float(optim.get("eta", 1e-3))
     plan_section = dict(doc.get("plan", {}))
     plan_section.setdefault("eta", eta)
@@ -159,12 +168,34 @@ def cmd_train(args) -> int:
         schedule_cfg=sched_cfg,
         fit_cfg=fit_cfg,
     )
+    return steps, model_cfg, opt_cfg, data_cfg
+
+
+def _write_run(out_dir: Path, run: TrainRun) -> None:
+    (out_dir / "summary.json").write_bytes(render_document(run_summary(run)).encode())
+    (out_dir / "timeline.csv").write_bytes(timeline_csv(run.lr_timeline).encode())
+
+
+def cmd_train(args) -> int:
+    try:
+        doc = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{args.config}: {exc}") from exc
+    try:
+        steps, model_cfg, opt_cfg, data_cfg = _train_configs(doc)
+    except (AttributeError, TypeError, ValueError) as exc:  # malformed section or value
+        raise InvalidConfig(f"{args.config}: {exc}") from exc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = run_training(model_cfg, opt_cfg, data_cfg, steps)
-    (out_dir / "summary.json").write_bytes(render_document(run_summary(run)).encode())
-    (out_dir / "timeline.csv").write_bytes(timeline_csv(run.lr_timeline).encode())
+    try:
+        # Overflow on the way to a diverged loss is reported by DivergedLoss.
+        with np.errstate(all="ignore"):
+            run = run_training(model_cfg, opt_cfg, data_cfg, steps)
+    except DivergedLoss as exc:
+        _write_run(out_dir, exc.partial)
+        raise
+    _write_run(out_dir, run)
     return 0
 
 
@@ -224,10 +255,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         sys.stderr.write(_error_record(exc))
         return 3
-    except DivergedLoss as exc:
-        sys.stderr.write(_error_record(exc))
-        return 4
-    except (NumericalError, ValueError, ArithmeticError) as exc:
+    except (TailwiseError, ValueError, ArithmeticError) as exc:
         sys.stderr.write(_error_record(exc))
         return 4
 

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InvalidConfig -> 2, DataError -> 3,
-NumericalError (and anything unexpected) -> 4.
+The CLI maps these onto exit codes: InvalidConfig (BadK included) -> 2,
+DataError (ParseError and EmptyInput included) -> 3, NumericalError and
+every other TailwiseError -> 4. A layer whose spectral summary raises a
+DataError or NumericalError does not fail a command: it is excluded from
+the plan and follows the global schedule at eta.
 """
 
 
@@ -33,8 +36,8 @@ class NotAMatrix(DataError):
 
 # -- tail fitting ----------------------------------------------------------
 
-class BadK(TailwiseError):
-    pass
+class BadK(InvalidConfig):
+    """A requested tail size k does not fit the spectrum."""
 
 
 class ZeroCutoff(NumericalError):
@@ -45,14 +48,10 @@ class TooFewEigenvalues(DataError):
     pass
 
 
-class MissingGradient(TailwiseError):
-    pass
-
-
 # -- allocation ------------------------------------------------------------
 
-class EmptyInput(TailwiseError):
-    pass
+class EmptyInput(DataError):
+    """Nothing to allocate over: no layer could be fitted."""
 
 
 class InfiniteAlpha(NumericalError):

@@ -332,9 +332,3 @@ def loss_and_grads(model: Model, tokens: np.ndarray, loss_scale: float = 1.0):
 
     np.add.at(grads["embed"], inputs.reshape(-1), dx.reshape(-1, d))
     return loss, grads
-
-
-def backward(model: Model, tokens: np.ndarray, loss_scale: float = 1.0):
-    """Exact reverse-mode gradients of ``loss_scale * forward_loss``."""
-    _, grads = loss_and_grads(model, tokens, loss_scale)
-    return grads

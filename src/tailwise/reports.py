@@ -12,10 +12,9 @@ import math
 from typing import Sequence
 
 from .allocate import LRPlan, PlanConfig, build_plan
-from .errors import TailwiseError
 from .spectral import WeightMatrix
-from .tailfit import FitConfig, summarize
-from .train import TrainRun, alpha_std
+from .tailfit import FitConfig, SpectralSummary
+from .train import TrainRun, alpha_std, sweep_summaries
 
 
 def format_float(x: float) -> str:
@@ -58,6 +57,24 @@ def render_document(doc: dict) -> str:
     return dumps(doc) + "\n"
 
 
+def sweep_plan(
+    matrices: Sequence[WeightMatrix],
+    fit_cfg: FitConfig,
+    plan_cfg: PlanConfig | None,
+) -> tuple[list[SpectralSummary], dict[str, str], LRPlan | None]:
+    """Sweep ``matrices`` and plan over the layers that could be fitted.
+
+    Returns the summaries, the excluded layers' error text by name, and the
+    plan, which is None without a plan config or when nothing was fitted.
+    """
+    summaries, excluded = sweep_summaries(matrices, fit_cfg)
+    plan = None
+    if plan_cfg is not None and summaries:
+        roles = {s.layer_name: s.role for s in summaries}
+        plan = build_plan([(s.layer_name, s.alpha) for s in summaries], roles, plan_cfg)
+    return summaries, excluded, plan
+
+
 def analysis_report(
     matrices: Sequence[WeightMatrix],
     fit_cfg: FitConfig = FitConfig(),
@@ -67,41 +84,30 @@ def analysis_report(
 
     With a plan config the report also carries the assigned base LRs.
     """
-    summaries = {}
+    summaries, excluded, plan = sweep_plan(matrices, fit_cfg, plan_cfg)
+    fitted = {s.layer_name: s for s in summaries}
     records = []
     for w in matrices:
-        try:
-            s = summarize(w, fit_cfg)
-        except TailwiseError as exc:
-            records.append({"name": w.name, "role": w.role.value,
-                            "error": f"{type(exc).__name__}: {exc}"})
+        if w.name in excluded:
+            records.append({"name": w.name, "role": w.role.value, "error": excluded[w.name]})
             continue
-        summaries[w.name] = s
-        records.append(
-            {
-                "name": s.layer_name,
-                "role": s.role.value,
-                "n_eff": s.n_eff,
-                "k_used": s.k_used,
-                "alpha": s.alpha,
-                "lambda_max": s.lambda_max,
-                "fro_norm": s.fro_norm,
-                "spec_norm": s.spec_norm,
-            }
-        )
+        s = fitted[w.name]
+        record = {
+            "name": s.layer_name,
+            "role": s.role.value,
+            "n_eff": s.n_eff,
+            "k_used": s.k_used,
+            "alpha": s.alpha,
+            "lambda_max": s.lambda_max,
+            "fro_norm": s.fro_norm,
+            "spec_norm": s.spec_norm,
+        }
+        if plan is not None:
+            record["assigned_lr"] = plan.base_lr(s.layer_name)
+        records.append(record)
 
-    plan: LRPlan | None = None
-    if plan_cfg is not None and summaries:
-        roles = {w.name: w.role for w in matrices}
-        alphas = [(name, s.alpha) for name, s in summaries.items()]
-        plan = build_plan(alphas, roles, plan_cfg)
-        for record in records:
-            if "error" not in record:
-                record["assigned_lr"] = plan.base_lr(record["name"])
-
-    ordered = list(summaries.values())
-    meta: dict = {"method": fit_cfg.method.value, "alpha_std": alpha_std(ordered)}
-    finite = [s.alpha for s in ordered if math.isfinite(s.alpha)]
+    meta: dict = {"method": fit_cfg.method.value, "alpha_std": alpha_std(summaries)}
+    finite = [s.alpha for s in summaries if math.isfinite(s.alpha)]
     meta["alpha_min"] = min(finite) if finite else math.nan
     meta["alpha_max"] = max(finite) if finite else math.nan
     if plan_cfg is not None:

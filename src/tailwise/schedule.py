@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .allocate import LRPlan, PlanConfig, build_plan
 from .errors import InvalidConfig, NonMonotonicStep, StepOutOfRange, UnknownLayer
@@ -149,6 +149,28 @@ def layer_lr_at(state: ScheduleState, cfg: ScheduleConfig, layer: str, t: int) -
     return base_lr_at(cfg, peak, t)
 
 
+def lrs_at(
+    state: ScheduleState, cfg: ScheduleConfig, eta: float, names: Iterable[str], t: int
+) -> dict[str, float]:
+    """LR of each named parameter at step t, keyed in ``names`` order.
+
+    A name in the current plan follows its plan trajectory (layer_lr_at);
+    any other name (a non-matrix parameter, a layer excluded from the plan,
+    or every name before the first plan) follows the base schedule at eta.
+    """
+    plan = state.current_plan
+    lrs = {}
+    fallback = None
+    for name in names:
+        if plan is not None and name in plan:
+            lrs[name] = layer_lr_at(state, cfg, name, t)
+        else:
+            if fallback is None:
+                fallback = base_lr_at(cfg, eta, t)
+            lrs[name] = fallback
+    return lrs
+
+
 def on_step(
     state: ScheduleState,
     cfg: ScheduleConfig,
@@ -160,15 +182,18 @@ def on_step(
     """Advance the schedule by one optimizer step.
 
     On recompute boundaries inside the active phase this calls the alpha
-    provider, builds a fresh plan, and opens a switch window. The first
-    step past the active phase freezes the current plan's ratios for the
-    remainder of training.
+    provider, builds a fresh plan, and opens a switch window. A provider
+    that returns no alphas (no layer could be fitted) yields no plan, so
+    every layer follows the base schedule at eta until a later recompute.
+    The first step past the active phase freezes the current plan's ratios
+    for the remainder of training.
     """
     if t != state.t + 1:
         raise NonMonotonicStep(f"expected t={state.t + 1}, got {t}")
     frozen = state.frozen or t > cfg.active_limit
     if not frozen and recompute_due(cfg, t):
-        plan = build_plan(alpha_provider(t), roles, plan_cfg, step=t)
+        alphas = alpha_provider(t)
+        plan = build_plan(alphas, roles, plan_cfg, step=t) if alphas else None
         first = state.current_plan is None
         return ScheduleState(
             t=t,
@@ -180,15 +205,3 @@ def on_step(
         )
     return replace(state, t=t, frozen=frozen)
 
-
-def export_timeline(
-    states: Sequence[ScheduleState], cfg: ScheduleConfig
-) -> list[tuple[int, str, float]]:
-    """Dense (step, layer, lr) rows: step-major, layers in plan order."""
-    rows: list[tuple[int, str, float]] = []
-    for state in states:
-        if state.current_plan is None:
-            continue
-        for layer, _ in state.current_plan.per_layer:
-            rows.append((state.t, layer, layer_lr_at(state, cfg, layer, state.t)))
-    return rows

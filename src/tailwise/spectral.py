@@ -60,13 +60,6 @@ class WeightMatrix:
         if self.values.size == 0:
             raise ValueError(f"{self.name}: empty parameter")
 
-    @classmethod
-    def from_flat(cls, name: str, role: LayerRole, rows: int, cols: int, flat) -> "WeightMatrix":
-        flat = np.asarray(flat, dtype=np.float64)
-        if rows < 1 or cols < 1 or flat.size != rows * cols:
-            raise ValueError(f"{name}: {flat.size} values do not fill {rows}x{cols}")
-        return cls(name, role, flat.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -119,7 +112,3 @@ def frobenius_norm(w: WeightMatrix) -> float:
     _check_matrix(w)
     return float(np.sqrt(np.sum(w.values * w.values)))
 
-
-def spectral_norm(w: WeightMatrix) -> float:
-    """Largest singular value, computed as sqrt of the top ESD eigenvalue."""
-    return float(np.sqrt(esd(w).eigenvalues[-1]))

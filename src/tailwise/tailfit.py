@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadK, MissingGradient, TooFewEigenvalues, ZeroCutoff
+from .errors import BadK, TooFewEigenvalues, ZeroCutoff
 from .spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
 
 # Log-sums below this are treated as a degenerate (flat) spectrum.
@@ -27,6 +27,9 @@ DEGENERATE_LOG_SUM = 1e-300
 # A spectrum needs at least this many positive eigenvalues to be fitted.
 MIN_POSITIVE_EIGS = 4
 
+# Bin count of the fix-finger log10 histogram.
+FIX_FINGER_BINS = 100
+
 
 class FitMethod(Enum):
     MEDIAN = "median"
@@ -34,20 +37,10 @@ class FitMethod(Enum):
     GOODNESS_OF_FIT = "gof"
 
 
-class MetricKind(Enum):
-    PL_ALPHA_HILL = "alpha"
-    FROBENIUS_NORM = "fro_norm"
-    SPECTRAL_NORM = "spec_norm"
-    GRAD_NORM = "grad_norm"
-
-
 @dataclass(frozen=True)
 class FitConfig:
     method: FitMethod = FitMethod.MEDIAN
     k_override: int | None = None
-    # Bin count for the fix-finger log10 histogram. The cited method's exact
-    # binning is not pinned anywhere authoritative, so it is configurable.
-    histogram_bins: int = 100
 
 
 @dataclass
@@ -89,10 +82,10 @@ def hill_alpha(eigs, k: int) -> float:
     return 1.0 + k / log_sum
 
 
-def _fix_finger_k(lam: np.ndarray, bins: int) -> int:
+def _fix_finger_k(lam: np.ndarray) -> int:
     # Put the cutoff at the peak of the log10-eigenvalue histogram.
     logs = np.log10(lam)
-    counts, edges = np.histogram(logs, bins=bins)
+    counts, edges = np.histogram(logs, bins=FIX_FINGER_BINS)
     peak = int(np.argmax(counts))
     center = 0.5 * (edges[peak] + edges[peak + 1])
     j = int(np.argmin(np.abs(logs - center)))  # index of the cutoff eigenvalue
@@ -141,7 +134,7 @@ def fit_alpha(eigs, cfg: FitConfig = FitConfig()) -> tuple[float, int]:
     elif cfg.method is FitMethod.MEDIAN:
         k = n // 2
     elif cfg.method is FitMethod.FIX_FINGER:
-        k = _fix_finger_k(lam, cfg.histogram_bins)
+        k = _fix_finger_k(lam)
     else:
         k = _goodness_of_fit_k(lam)
     return hill_alpha(lam, k), k
@@ -163,15 +156,3 @@ def summarize(w: WeightMatrix, cfg: FitConfig = FitConfig()) -> SpectralSummary:
         spec_norm=float(np.sqrt(top)),
     )
 
-
-def metric_value(summary: SpectralSummary, grad_norm: float | None, kind: MetricKind) -> float:
-    """Scalar used to rank layers when ablating the allocation metric."""
-    if kind is MetricKind.PL_ALPHA_HILL:
-        return summary.alpha
-    if kind is MetricKind.FROBENIUS_NORM:
-        return summary.fro_norm
-    if kind is MetricKind.SPECTRAL_NORM:
-        return summary.spec_norm
-    if grad_norm is None:
-        raise MissingGradient(f"{summary.layer_name}: GRAD_NORM requires a gradient snapshot")
-    return grad_norm

@@ -2,9 +2,10 @@
 
 Each step samples a batch, advances the schedule (recomputing the
 per-layer plan from fresh spectra on cadence boundaries during the active
-phase), then applies AdamW with per-group learning rates. In uniform mode
-every group follows the global schedule but the spectral telemetry is
-still recorded on the same cadence so runs can be compared.
+phase), then applies AdamW with per-group learning rates. Uniform mode is
+the same loop with plans built at s = 1: every plan peak equals eta, so
+every group follows the global schedule bit for bit, and the spectral
+telemetry is recorded on the same cadence as in LLR mode.
 """
 
 from __future__ import annotations
@@ -13,22 +14,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .allocate import PlanConfig
 from .data import DataConfig, batch_sampler, gen_corpus
-from .errors import DivergedLoss, InvalidConfig, TooFewEigenvalues, UnknownLayer
-from .model import Model, ModelConfig, build_model, loss_and_grads
+from .errors import DataError, DivergedLoss, InvalidConfig, NumericalError
+from .model import ModelConfig, build_model, loss_and_grads
 from .optim import OptimizerKind, adamw_step, init_moments
-from .schedule import (
-    ScheduleConfig,
-    ScheduleState,
-    base_lr_at,
-    layer_lr_at,
-    on_step,
-    recompute_due,
-)
+from .schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
+from .spectral import WeightMatrix
 from .tailfit import FitConfig, SpectralSummary, summarize
 
 log = logging.getLogger(__name__)
@@ -80,22 +76,26 @@ class TrainRun:
     final_loss: float
     mode: TrainMode
     diverged: bool = False
-    schedule_states: list[ScheduleState] = field(default_factory=list)
 
 
-def sweep_summaries(model: Model, fit_cfg: FitConfig) -> list[SpectralSummary]:
-    """Spectral summary for every analyzable matrix, in model order.
+def sweep_summaries(
+    matrices: Sequence[WeightMatrix], fit_cfg: FitConfig
+) -> tuple[list[SpectralSummary], dict[str, str]]:
+    """Spectral summaries of the fittable matrices, in input order.
 
-    Layers whose spectra cannot be fitted are logged and skipped; they then
-    fall back to the global LR schedule.
+    A matrix whose spectrum cannot be fitted (too few positive eigenvalues,
+    not a matrix, non-finite entries) is excluded: it is returned by name
+    with its error text, is left out of every plan, and follows the global
+    schedule at eta. InvalidConfig propagates.
     """
-    out = []
-    for w in model.weight_matrices():
+    summaries, excluded = [], {}
+    for w in matrices:
         try:
-            out.append(summarize(w, fit_cfg))
-        except TooFewEigenvalues as exc:
+            summaries.append(summarize(w, fit_cfg))
+        except (DataError, NumericalError) as exc:
             log.warning("excluding %s from allocation: %s", w.name, exc)
-    return out
+            excluded[w.name] = f"{type(exc).__name__}: {exc}"
+    return summaries, excluded
 
 
 def alpha_std(summaries: list[SpectralSummary]) -> float:
@@ -103,13 +103,13 @@ def alpha_std(summaries: list[SpectralSummary]) -> float:
     return float(np.std(finite)) if finite else math.nan
 
 
-def _finalize(losses, timeline, history, stds, boundaries, mode, states, diverged):
+def _finalize(losses, timeline, history, stds, boundaries, mode, diverged):
     arr = np.asarray(losses)
     if diverged or arr.size == 0:
         final = math.inf
     else:
         final = float(arr[-min(FINAL_LOSS_WINDOW, arr.size):].mean())
-    return TrainRun(arr, timeline, history, stds, boundaries, final, mode, diverged, states)
+    return TrainRun(arr, timeline, history, stds, boundaries, final, mode, diverged)
 
 
 def run_training(
@@ -132,62 +132,42 @@ def run_training(
         sched_cfg = ScheduleConfig(t_max=steps, warmup_steps=steps // 10)
     elif sched_cfg.t_max != steps:
         raise InvalidConfig(f"schedule t_max {sched_cfg.t_max} != steps {steps}")
-    plan_cfg = opt_cfg.plan_cfg
+    # Uniform mode is LLR with s = 1: every plan peak is eta.
+    if opt_cfg.mode is TrainMode.LLR:
+        plan_cfg = opt_cfg.plan_cfg
+    else:
+        plan_cfg = PlanConfig(eta=opt_cfg.eta, s=1.0)
 
     model = build_model(model_cfg)
     stream = gen_corpus(data_cfg)
     batches = batch_sampler(data_cfg, stream, model_cfg.context + 1)
     moments = init_moments(model.params)
     matrix_order = model.matrix_names()
-    matrix_names = set(matrix_order)
 
     losses: list[float] = []
     timeline: list[tuple[int, str, float]] = []
     history: list[list[SpectralSummary]] = []
     stds: list[float] = []
     boundaries: list[int] = []
-    states: list[ScheduleState] = []
     state = ScheduleState.initial()
 
-    def record_sweep(t: int) -> list[SpectralSummary]:
-        summaries = sweep_summaries(model, opt_cfg.fit_cfg)
+    def provider(t: int):
+        summaries, _ = sweep_summaries(model.weight_matrices(), opt_cfg.fit_cfg)
         history.append(summaries)
         stds.append(alpha_std(summaries))
         boundaries.append(t)
-        return summaries
-
-    def provider(t: int):
-        return [(s.layer_name, s.alpha) for s in record_sweep(t)]
+        return [(s.layer_name, s.alpha) for s in summaries]
 
     for t in range(steps):
         batch = next(batches)
-
-        if opt_cfg.mode is TrainMode.LLR:
-            state = on_step(state, sched_cfg, provider, plan_cfg, model.roles, t)
-            states.append(state)
-            global_lr = base_lr_at(sched_cfg, opt_cfg.eta, t)
-            lrs = {}
-            for name in model.params:
-                if name in matrix_names:
-                    try:
-                        lrs[name] = layer_lr_at(state, sched_cfg, name, t)
-                        continue
-                    except UnknownLayer:
-                        pass  # excluded from allocation: global schedule
-                lrs[name] = global_lr
-        else:
-            if recompute_due(sched_cfg, t):
-                record_sweep(t)
-            global_lr = base_lr_at(sched_cfg, opt_cfg.eta, t)
-            lrs = {name: global_lr for name in model.params}
-
-        for name in matrix_order:
-            timeline.append((t, name, lrs[name]))
+        state = on_step(state, sched_cfg, provider, plan_cfg, model.roles, t)
+        lrs = lrs_at(state, sched_cfg, opt_cfg.eta, model.params, t)
+        timeline.extend((t, name, lrs[name]) for name in matrix_order)
 
         loss, grads = loss_and_grads(model, batch)
         if not math.isfinite(loss):
             partial = _finalize(losses, timeline, history, stds, boundaries,
-                                opt_cfg.mode, states, diverged=True)
+                                opt_cfg.mode, diverged=True)
             raise DivergedLoss(t, partial)
         losses.append(loss)
 
@@ -206,4 +186,4 @@ def run_training(
         )
 
     return _finalize(losses, timeline, history, stds, boundaries,
-                     opt_cfg.mode, states, diverged=False)
+                     opt_cfg.mode, diverged=False)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tailwise.allocate import PlanConfig
 from tailwise.cli import main
 from tailwise.manifest import save_manifest
 from tailwise.reports import analysis_report, dumps, format_float, timeline_csv
+from tailwise.schedule import ScheduleConfig, base_lr_at
 from tailwise.spectral import LayerRole, WeightMatrix
 from tailwise.tailfit import FitConfig, summarize
 
@@ -22,6 +24,66 @@ def demo_manifest(tmp_path, seed=0):
         WeightMatrix("output_head", LayerRole.OUTPUT_HEAD, rng.standard_normal((24, 16))),
     ]
     return save_manifest(tmp_path, mats), mats
+
+
+class TestExclusionRule:
+    def test_unfittable_layer_across_commands(self, tmp_path):
+        # A 2x3 layer has 2 eigenvalues: too few to fit. Every command
+        # leaves it out of the plan and gives it eta's schedule.
+        rng = np.random.default_rng(3)
+        mats = [
+            WeightMatrix("embed", LayerRole.EMBEDDING, rng.standard_normal((24, 16))),
+            WeightMatrix("tiny", LayerRole.ATT_Q, rng.standard_normal((2, 3))),
+            WeightMatrix("up", LayerRole.FFN_UP, rng.standard_normal((16, 48))),
+        ]
+        manifest = str(save_manifest(tmp_path, mats))
+        plan_flags = ["--manifest", manifest, "--eta", "1e-3", "--s", "5"]
+
+        report_path, plan_path, csv_path = tmp_path / "r.json", tmp_path / "p.json", tmp_path / "t.csv"
+        assert main(["analyze", *plan_flags, "--out", str(report_path)]) == 0
+        records = json.loads(report_path.read_text())["layers"]
+        assert [r["name"] for r in records] == ["embed", "tiny", "up"]
+        assert records[1]["error"].startswith("TooFewEigenvalues")
+        assert "assigned_lr" not in records[1]
+
+        assert main(["plan", *plan_flags, "--out", str(plan_path)]) == 0
+        plan = json.loads(plan_path.read_text())
+        assert [l["name"] for l in plan["layers"]] == ["embed", "up"]
+
+        assert main(["schedule", *plan_flags, "--steps", "20", "--interval", "10",
+                     "--switch", "5", "--warmup", "2", "--out", str(csv_path)]) == 0
+        cfg = ScheduleConfig(t_max=20, warmup_steps=2, recompute_interval=10, t_switch=5)
+        rows = [line.split(",") for line in csv_path.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 20 * 3
+        assert [r[1] for r in rows[:3]] == ["embed", "tiny", "up"]
+        for step, layer, lr in rows:
+            if layer == "tiny":
+                assert float(lr) == base_lr_at(cfg, 1e-3, int(step))
+
+        # The trainer's vocab-3 embedding and head are 3 x 16: unfittable too.
+        config = small_config(steps=20)
+        config["model"]["vocab"] = config["data"]["vocab"] = 3
+        cfg_path, out_dir = tmp_path / "run.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        fitted = {a["name"] for a in summary["recomputes"][0]["alphas"]}
+        assert "blocks.0.att.q" in fitted and not fitted & {"embed", "output_head"}
+        train_cfg = ScheduleConfig(t_max=20, warmup_steps=3, recompute_interval=10,
+                                   t_switch=5, active_fraction=0.5)
+        rows = [line.split(",") for line in
+                (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]]
+        for step, layer, lr in rows:
+            if layer in ("embed", "output_head"):
+                assert float(lr) == base_lr_at(train_cfg, 2e-3, int(step))
+
+    def test_plan_with_no_fittable_layer_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        manifest = save_manifest(tmp_path, [
+            WeightMatrix("tiny", LayerRole.ATT_Q, rng.standard_normal((2, 3)))])
+        assert main(["plan", "--manifest", str(manifest), "--eta", "1e-3"]) == 3
+        last = capsys.readouterr().err.strip().split("\n")[-1]
+        assert json.loads(last)["error"] == "EmptyInput"
 
 
 class TestFormatting:
@@ -156,19 +218,23 @@ class TestScheduleCommand:
         assert out.read_text().startswith("step,layer,lr\n")
 
 
+def small_config(steps=30):
+    return {
+        "steps": steps,
+        "model": {"vocab": 16, "d_model": 16, "n_layers": 1, "n_heads": 2,
+                  "context": 16, "seed": 1},
+        "data": {"kind": "markov", "seed": 1, "length": 4000, "vocab": 16,
+                 "batch": 4},
+        "optim": {"eta": 2e-3, "mode": "llr"},
+        "plan": {"s": 4.0},
+        "schedule": {"recompute_interval": 10, "t_switch": 5,
+                     "active_fraction": 0.5, "warmup_steps": 3},
+    }
+
+
 class TestTrainCommand:
     def test_smoke_run_writes_outputs(self, tmp_path):
-        config = {
-            "steps": 30,
-            "model": {"vocab": 16, "d_model": 16, "n_layers": 1, "n_heads": 2,
-                      "context": 16, "seed": 1},
-            "data": {"kind": "markov", "seed": 1, "length": 4000, "vocab": 16,
-                     "batch": 4},
-            "optim": {"eta": 2e-3, "mode": "llr"},
-            "plan": {"s": 4.0},
-            "schedule": {"recompute_interval": 10, "t_switch": 5,
-                         "active_fraction": 0.5, "warmup_steps": 3},
-        }
+        config = small_config()
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config))
         out_dir = tmp_path / "out"
@@ -187,6 +253,64 @@ class TestTrainCommand:
         cfg_path.write_text("{broken")
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("patch, code, error, words", [
+        ({"data": {"kind": "nope"}}, 2, "InvalidConfig", "'nope' is not a valid CorpusKind"),
+        ({"optim": {"mode": "weird"}}, 2, "InvalidConfig", "'weird' is not a valid TrainMode"),
+        ({"model": {"widht": 8}}, 2, "InvalidConfig", "keyword argument 'widht'"),
+        ({"optim": {"etaa": 1e-3}}, 2, "InvalidConfig", "unknown keys ['etaa']"),
+        ({"stepz": 30}, 2, "InvalidConfig", "unknown keys ['stepz']"),
+        ({"fit": {"k_override": 1000}}, 2, "BadK", "k_override=1000"),
+    ])
+    def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
+        config = small_config(steps=10)
+        for section, entries in patch.items():
+            if isinstance(entries, dict):
+                config.setdefault(section, {}).update(entries)
+            else:
+                config[section] = entries
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+        record = json.loads(capsys.readouterr().err)  # one record, nothing else
+        assert record["error"] == error
+        assert words in record["message"]
+
+    def test_diverged_run_writes_partial_outputs(self, tmp_path, capsys):
+        config = small_config(steps=60)
+        config["optim"]["eta"] = 80.0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy overflow stays silent
+            assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DivergedLoss"
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["diverged"]
+        assert summary["final_loss"] == "inf"
+        rows = (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == (summary["steps"] + 1) * 9  # the diverged step's LRs too
+
+    @pytest.mark.parametrize("mode", ["llr", "uniform"])
+    def test_no_fittable_matrix_follows_global_schedule(self, tmp_path, mode):
+        # d_model 2: every matrix has at most 2 eigenvalues, so no plan is made.
+        config = small_config(steps=20)
+        config["model"].update(d_model=2, n_heads=1)
+        config["optim"]["mode"] = mode
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["mode"] == mode
+        assert all(r["alphas"] == [] for r in summary["recomputes"])
+        cfg = ScheduleConfig(t_max=20, warmup_steps=3, recompute_interval=10, t_switch=5,
+                             active_fraction=0.5)
+        for line in (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]:
+            step, _, lr = line.split(",")
+            assert float(lr) == base_lr_at(cfg, 2e-3, int(step))
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailwise.errors import InvalidConfig, ShapeMismatch, TokenOutOfRange
-from tailwise.model import ModelConfig, backward, build_model, forward_loss, loss_and_grads
+from tailwise.model import ModelConfig, build_model, forward_loss, loss_and_grads
 from tailwise.spectral import LayerRole
 
 MICRO = ModelConfig(vocab=11, d_model=8, n_layers=1, n_heads=2, context=8, seed=3, dtype="f64")
@@ -91,7 +91,7 @@ class TestBackward:
         m = build_model(ModelConfig(vocab=11, d_model=8, n_layers=1, n_heads=2,
                                     context=8, seed=3, dtype="f64"))
         m.params["output_head"][:] = 0.0
-        grads = backward(m, micro_batch())
+        grads = loss_and_grads(m, micro_batch())[1]
         assert np.all(grads["embed"] == 0.0)
         assert np.all(grads["blocks.0.att.q"] == 0.0)
         assert np.any(grads["output_head"] != 0.0)
@@ -99,8 +99,8 @@ class TestBackward:
     def test_loss_scale_doubles_gradients_exactly(self):
         m = build_model(MICRO)
         tokens = micro_batch()
-        g1 = backward(m, tokens, loss_scale=1.0)
-        g2 = backward(m, tokens, loss_scale=2.0)
+        g1 = loss_and_grads(m, tokens, loss_scale=1.0)[1]
+        g2 = loss_and_grads(m, tokens, loss_scale=2.0)[1]
         for name in g1:
             np.testing.assert_array_equal(2.0 * g1[name], g2[name])
 

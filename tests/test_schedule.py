@@ -10,8 +10,8 @@ from tailwise.schedule import (
     ScheduleState,
     SwitchMode,
     base_lr_at,
-    export_timeline,
     layer_lr_at,
+    lrs_at,
     on_step,
     recompute_due,
 )
@@ -204,11 +204,19 @@ class TestOnStep:
         assert due == [0, 100, 200]
 
 
-class TestExportTimeline:
+def timeline(states, cfg, eta, names):
+    rows = []
+    for t, state in enumerate(states):
+        lrs = lrs_at(state, cfg, eta, names, t)
+        rows.extend((t, name, lrs[name]) for name in names)
+    return rows
+
+
+class TestLrsAt:
     def test_cardinality_and_order(self):
         cfg = flat_cfg(t_max=10, recompute_interval=10, t_switch=1, active_fraction=1.0)
         states = drive(cfg, lambda t: [("a", 2.0), ("b", 3.0)], PlanConfig(eta=1e-3), 3)
-        rows = export_timeline(states, cfg)
+        rows = timeline(states, cfg, 1e-3, ["a", "b"])
         assert len(rows) == 6
         assert [r[0] for r in rows] == [0, 0, 1, 1, 2, 2]
         assert [r[1] for r in rows[:2]] == ["a", "b"]
@@ -217,7 +225,7 @@ class TestExportTimeline:
         cfg = flat_cfg(t_max=10, recompute_interval=10, t_switch=1, active_fraction=1.0)
         plan_cfg = PlanConfig(eta=1e-3, s=1.0)
         states = drive(cfg, lambda t: [("a", 2.0), ("b", 9.0)], plan_cfg, 10)
-        rows = export_timeline(states, cfg)
+        rows = timeline(states, cfg, 1e-3, ["a", "b", "emb"])
         by_step = {}
         for step, _, lr in rows:
             by_step.setdefault(step, set()).add(lr)
@@ -230,5 +238,18 @@ class TestExportTimeline:
                  200: [("a", 3.0), ("b", 3.5)]}
         plan_cfg = PlanConfig(eta=1e-3, s=5.0)
         states = drive(cfg, lambda t: table.get(t, table[200]), plan_cfg, 300)
-        for step, layer, lr in export_timeline(states, cfg):
+        for step, layer, lr in timeline(states, cfg, 1e-3, ["a", "b"]):
             assert lr == layer_lr_at(states[step], cfg, layer, step)
+
+    def test_names_outside_the_plan_follow_eta(self):
+        cfg = ScheduleConfig(t_max=100, warmup_steps=10, recompute_interval=50,
+                             t_switch=10, active_fraction=1.0)
+        plan_cfg = PlanConfig(eta=1e-3, s=5.0)
+        table = {0: [], 50: [("a", 2.0), ("b", 4.0)]}  # the first sweep fits nothing
+        states = drive(cfg, lambda t: table[t], plan_cfg, 100)
+        assert states[49].current_plan is None
+        for step, layer, lr in timeline(states, cfg, 2e-3, ["a", "b", "gain"]):
+            if step < 50 or layer == "gain":
+                assert lr == base_lr_at(cfg, 2e-3, step)
+            else:
+                assert lr == layer_lr_at(states[step], cfg, layer, step)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailwise.errors import NonFiniteInput, NotAMatrix
-from tailwise.spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm, spectral_norm
+from tailwise.spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
 
 
 def mat(values, role=LayerRole.OTHER_2D, name="w"):
@@ -100,27 +100,8 @@ class TestNorms:
         total = float(np.sum(esd(w).eigenvalues))
         assert frobenius_norm(w) == pytest.approx(np.sqrt(total), rel=1e-10)
 
-    def test_spectral_norm_identity(self):
-        assert spectral_norm(mat(np.eye(3))) == 1.0
-
-    def test_spectral_norm_diag(self):
-        assert spectral_norm(mat(np.diag([3.0, 4.0]))) == pytest.approx(4.0, abs=1e-12)
-
-    def test_spectral_norm_is_sqrt_top_eig(self):
-        w = random_mat(9, 6, 13)
-        assert spectral_norm(w) == np.sqrt(esd(w).eigenvalues[-1])
-
 
 class TestWeightMatrix:
-    def test_from_flat_row_major(self):
-        w = WeightMatrix.from_flat("a", LayerRole.OTHER_2D, 2, 3, [1, 2, 3, 4, 5, 6])
-        np.testing.assert_array_equal(w.values, [[1, 2, 3], [4, 5, 6]])
-        assert (w.rows, w.cols) == (2, 3)
-
-    def test_from_flat_size_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightMatrix.from_flat("a", LayerRole.OTHER_2D, 2, 3, [1.0] * 5)
-
     def test_non_matrix_must_be_1d(self):
         with pytest.raises(ValueError):
             WeightMatrix("g", LayerRole.NON_MATRIX, np.ones((2, 2)))

@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tailwise.errors import BadK, MissingGradient, TooFewEigenvalues, ZeroCutoff
-from tailwise.spectral import LayerRole
+from tailwise.errors import BadK, TooFewEigenvalues, ZeroCutoff
 from tailwise.tailfit import (
     FitConfig,
     FitMethod,
-    MetricKind,
-    SpectralSummary,
     fit_alpha,
     hill_alpha,
-    metric_value,
 )
 
 HAND_ALPHA_1248 = 1.0 + 2.0 / (3.0 * math.log(2.0))  # eigs [1,2,4,8], k=2
@@ -167,21 +163,3 @@ class TestFitAlpha:
         _, k = fit_alpha(lam, FitConfig(method=FitMethod.FIX_FINGER))
         assert 55 <= k <= 90
 
-
-class TestMetricValue:
-    def summary(self):
-        return SpectralSummary(
-            layer_name="w", role=LayerRole.OTHER_2D, alpha=2.5, k_used=2,
-            n_eff=4, lambda_max=16.0, fro_norm=5.0, spec_norm=4.0,
-        )
-
-    def test_passthroughs(self):
-        s = self.summary()
-        assert metric_value(s, None, MetricKind.PL_ALPHA_HILL) == 2.5
-        assert metric_value(s, None, MetricKind.FROBENIUS_NORM) == 5.0
-        assert metric_value(s, None, MetricKind.SPECTRAL_NORM) == 4.0
-        assert metric_value(s, 0.25, MetricKind.GRAD_NORM) == 0.25
-
-    def test_missing_gradient(self):
-        with pytest.raises(MissingGradient):
-            metric_value(self.summary(), None, MetricKind.GRAD_NORM)

@@ -6,8 +6,8 @@ import pytest
 from tailwise.allocate import PlanConfig
 from tailwise.data import DataConfig
 from tailwise.errors import DivergedLoss, InvalidConfig
-from tailwise.model import ModelConfig
-from tailwise.schedule import ScheduleConfig, layer_lr_at
+from tailwise.model import ModelConfig, build_model
+from tailwise.schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
 from tailwise.train import OptimConfig, TrainMode, TrainRun, run_training
 
 STEPS = 120
@@ -76,12 +76,20 @@ class TestRunTraining:
     def test_applied_lrs_match_schedule_replay(self):
         r = run(TrainMode.LLR)
         cfg = sched()
-        by_step = {}
-        for t, name, lr in r.lr_timeline:
-            by_step.setdefault(t, {})[name] = lr
-        for t, state in enumerate(r.schedule_states):
-            for name, lr in by_step[t].items():
-                assert abs(lr - layer_lr_at(state, cfg, name, t)) <= 1e-15
+        model = build_model(MODEL)
+        names = model.matrix_names()
+        sweeps = dict(zip(r.recompute_steps, r.alpha_history))
+
+        def provider(t):
+            return [(s.layer_name, s.alpha) for s in sweeps[t]]
+
+        state = ScheduleState.initial()
+        replay = []
+        for t in range(STEPS):
+            state = on_step(state, cfg, provider, PlanConfig(eta=2e-3, s=4.0), model.roles, t)
+            lrs = lrs_at(state, cfg, 2e-3, names, t)
+            replay.extend((t, name, lrs[name]) for name in names)
+        assert r.lr_timeline == replay
 
     def test_llr_lrs_respect_plan_bounds(self):
         r = run(TrainMode.LLR, eta=2e-3, s=4.0)
