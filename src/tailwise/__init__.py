@@ -25,7 +25,7 @@ from .schedule import (
     lrs_at,
     on_step,
 )
-from .spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
+from .spectral import LayerRole, WeightMatrix, esd
 from .tailfit import (
     FitConfig,
     FitMethod,

@@ -34,6 +34,9 @@ from .spectral import PINNED_ROLES, LayerRole
 AlphaList = Sequence[tuple[str, float]]
 RoleMap = Mapping[str, LayerRole]
 
+# Upper clip of the LAMB trust ratio ||w|| / ||update||.
+LAMB_MAX_RATIO = 10.0
+
 
 class Assignment(Enum):
     LINEAR = "linear"
@@ -183,12 +186,11 @@ def trust_ratio_lr(
     wd: float,
     variant: TrustVariant,
     update_norm: float | None = None,
-    lamb_max_ratio: float | None = 10.0,
 ) -> float:
     """Per-layer LR from the weight/gradient-norm trust ratio.
 
     LARS: eta * ||w|| / (||g|| + wd * ||w||). LAMB: eta * ||w|| / ||update||,
-    with the ratio clipped to lamb_max_ratio (common practice; None disables).
+    with the ratio clipped to LAMB_MAX_RATIO (common practice).
     The ratio is defined as 1 whenever either side of it vanishes.
     """
     if variant is TrustVariant.LAMB:
@@ -198,6 +200,6 @@ def trust_ratio_lr(
     else:
         denom = grad_norm + wd * weight_norm
     ratio = 1.0 if (weight_norm == 0.0 or denom == 0.0) else weight_norm / denom
-    if variant is TrustVariant.LAMB and lamb_max_ratio is not None:
-        ratio = min(ratio, lamb_max_ratio)
+    if variant is TrustVariant.LAMB:
+        ratio = min(ratio, LAMB_MAX_RATIO)
     return eta * ratio

@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="timeline CSV for a hypothetical run (frozen alphas)")
     p.add_argument("--manifest", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--interval", type=int, default=100)
-    p.add_argument("--switch", type=int, default=50)
+    p.add_argument("--interval", type=int, default=None, help="default: min(100, steps)")
+    p.add_argument("--switch", type=int, default=None, help="default: min(50, interval)")
     p.add_argument("--active", type=float, default=0.2)
     p.add_argument("--base", choices=[b.value for b in BaseSchedule], default="cosine")
     p.add_argument("--warmup", type=int, default=0)

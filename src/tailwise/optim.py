@@ -49,7 +49,6 @@ def adamw_step(
     weight_decay: float = 0.0,
     grad_clip: float | None = 1.0,
     optimizer: OptimizerKind = OptimizerKind.ADAMW,
-    lamb_max_ratio: float | None = 10.0,
 ) -> None:
     """One optimizer step, in place. ``t`` is 1-based for bias correction."""
     if set(params) != set(grads):
@@ -80,6 +79,5 @@ def adamw_step(
                 lr = trust_ratio_lr(w_norm, float(np.linalg.norm(g)), lr, decay, TrustVariant.LARS)
             else:
                 lr = trust_ratio_lr(w_norm, 0.0, lr, decay, TrustVariant.LAMB,
-                                    update_norm=float(np.linalg.norm(update)),
-                                    lamb_max_ratio=lamb_max_ratio)
+                                    update_norm=float(np.linalg.norm(update)))
         w -= lr * (update + decay * w)

@@ -43,8 +43,8 @@ class ScheduleConfig:
     base: BaseSchedule = BaseSchedule.COSINE_WARMUP
     warmup_steps: int = 0
     min_lr_fraction: float = 0.0  # end-of-decay floor as a fraction of peak
-    recompute_interval: int = 100
-    t_switch: int = 50
+    recompute_interval: int | None = None  # unset: min(100, t_max)
+    t_switch: int | None = None  # unset: min(50, recompute_interval)
     active_fraction: float = 0.2
     switch_mode: SwitchMode = SwitchMode.SOFT
     wsd_stable_fraction: float = 0.8
@@ -56,6 +56,10 @@ class ScheduleConfig:
             raise InvalidConfig("warmup_steps must lie in [0, t_max)")
         if not 0.0 <= self.min_lr_fraction <= 1.0:
             raise InvalidConfig("min_lr_fraction must lie in [0, 1]")
+        if self.recompute_interval is None:
+            object.__setattr__(self, "recompute_interval", min(100, self.t_max))
+        if self.t_switch is None:
+            object.__setattr__(self, "t_switch", min(50, self.recompute_interval))
         if not 1 <= self.t_switch <= self.recompute_interval <= self.t_max:
             raise InvalidConfig("need 1 <= t_switch <= recompute_interval <= t_max")
         if not 0.0 < self.active_fraction <= 1.0:

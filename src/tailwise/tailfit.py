@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadK, TooFewEigenvalues, ZeroCutoff
-from .spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
+from .spectral import LayerRole, WeightMatrix, esd
 
 # Log-sums below this are treated as a degenerate (flat) spectrum.
 DEGENERATE_LOG_SUM = 1e-300
@@ -58,8 +58,7 @@ class SpectralSummary:
 
 
 def _as_ascending(eigs) -> np.ndarray:
-    lam = eigs.eigenvalues if isinstance(eigs, Esd) else np.asarray(eigs, dtype=np.float64)
-    return np.sort(lam)
+    return np.sort(np.asarray(eigs, dtype=np.float64))
 
 
 def hill_alpha(eigs, k: int) -> float:
@@ -141,18 +140,18 @@ def fit_alpha(eigs, cfg: FitConfig = FitConfig()) -> tuple[float, int]:
 
 
 def summarize(w: WeightMatrix, cfg: FitConfig = FitConfig()) -> SpectralSummary:
-    """Full per-layer record: spectrum fit plus norms."""
+    """Full per-layer record: spectrum fit plus norms, all from one spectrum."""
     spectrum = esd(w)
     alpha, k_used = fit_alpha(spectrum, cfg)
-    top = float(spectrum.eigenvalues[-1])
+    top = float(spectrum[-1])
     return SpectralSummary(
         layer_name=w.name,
         role=w.role,
         alpha=alpha,
         k_used=k_used,
-        n_eff=spectrum.n_eff,
+        n_eff=int(spectrum.size),
         lambda_max=top,
-        fro_norm=frobenius_norm(w),
+        fro_norm=float(np.sqrt(np.sum(spectrum))),
         spec_norm=float(np.sqrt(top)),
     )
 

@@ -51,7 +51,6 @@ class OptimConfig:
     plan_cfg: PlanConfig | None = None
     schedule_cfg: ScheduleConfig | None = None
     fit_cfg: FitConfig = field(default_factory=FitConfig)
-    lamb_max_ratio: float | None = 10.0
 
     def __post_init__(self):
         if not (0.0 < self.betas[0] < 1.0 and 0.0 < self.betas[1] < 1.0):
@@ -182,7 +181,6 @@ def run_training(
             weight_decay=opt_cfg.weight_decay,
             grad_clip=opt_cfg.grad_clip,
             optimizer=opt_cfg.optimizer,
-            lamb_max_ratio=opt_cfg.lamb_max_ratio,
         )
 
     return _finalize(losses, timeline, history, stds, boundaries,

@@ -222,10 +222,9 @@ class TestTrustRatio:
 
     def test_lamb_ratio_clip(self):
         got = trust_ratio_lr(100.0, 0.0, 0.1, 0.0, TrustVariant.LAMB, update_norm=1.0)
-        assert got == pytest.approx(1.0)  # ratio clipped at 10
-        unclipped = trust_ratio_lr(100.0, 0.0, 0.1, 0.0, TrustVariant.LAMB,
-                                   update_norm=1.0, lamb_max_ratio=None)
-        assert unclipped == pytest.approx(10.0)
+        assert got == pytest.approx(1.0)  # ratio clipped at LAMB_MAX_RATIO = 10
+        unclipped = trust_ratio_lr(8.0, 0.0, 0.1, 0.0, TrustVariant.LAMB, update_norm=1.0)
+        assert unclipped == pytest.approx(0.8)  # ratio 8 is below the clip
 
     def test_linear_in_eta(self):
         rng = np.random.default_rng(4)

@@ -312,6 +312,29 @@ class TestTrainCommand:
             step, _, lr = line.split(",")
             assert float(lr) == base_lr_at(cfg, 2e-3, int(step))
 
+    def test_short_runs_default_interval_and_switch(self, tmp_path, capsys):
+        # Unset, the interval is min(100, steps) and the switch min(50, interval),
+        # so runs shorter than 100 steps need neither; set values are still checked.
+        manifest, _ = demo_manifest(tmp_path)
+        out = tmp_path / "t.csv"
+        assert main(["schedule", "--manifest", str(manifest), "--steps", "60",
+                     "--eta", "1e-3", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().split("\n")) == 1 + 60 * 5
+        config = small_config(steps=60)
+        del config["schedule"]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert [r["step"] for r in summary["recomputes"]] == [0]
+        assert main(["schedule", "--manifest", str(manifest), "--steps", "60",
+                     "--interval", "100", "--eta", "1e-3"]) == 2
+        config["schedule"] = {"recompute_interval": 100}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o2")]) == 2
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["error"] for e in errors] == ["InvalidConfig", "InvalidConfig"]
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["analyze"])  # missing --manifest

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from tailwise.cli import main
 from tailwise.errors import NonFiniteInput, NotAMatrix
-from tailwise.spectral import Esd, LayerRole, WeightMatrix, esd, frobenius_norm
+from tailwise.manifest import save_manifest
+from tailwise.spectral import LayerRole, WeightMatrix, esd
+from tailwise.tailfit import summarize
 
 
 def mat(values, role=LayerRole.OTHER_2D, name="w"):
@@ -23,25 +28,25 @@ def gram_eigs(values, keep):
 
 class TestEsd:
     def test_identity(self):
-        np.testing.assert_allclose(esd(mat(np.eye(2))).eigenvalues, [1.0, 1.0])
+        np.testing.assert_allclose(esd(mat(np.eye(2))), [1.0, 1.0])
 
     def test_rect_diagonal(self):
         w = np.zeros((2, 3))
         w[0, 0], w[1, 1] = 3.0, 4.0
-        np.testing.assert_allclose(esd(mat(w)).eigenvalues, [9.0, 16.0])
+        np.testing.assert_allclose(esd(mat(w)), [9.0, 16.0])
 
     def test_matches_dense_gram_oracle(self):
         w = random_mat(8, 16, seed=42)
-        got = esd(w).eigenvalues
+        got = esd(w)
         want = gram_eigs(w.values, 8)
         np.testing.assert_allclose(got, want, rtol=1e-8)
 
     def test_length_is_min_dim(self):
-        assert esd(random_mat(5, 9, 0)).n_eff == 5
-        assert esd(random_mat(9, 5, 0)).n_eff == 5
+        assert esd(random_mat(5, 9, 0)).size == 5
+        assert esd(random_mat(9, 5, 0)).size == 5
 
     def test_sorted_and_nonnegative(self):
-        eigs = esd(random_mat(12, 7, 3)).eigenvalues
+        eigs = esd(random_mat(12, 7, 3))
         assert np.all(np.diff(eigs) >= 0)
         assert eigs.min() >= 0.0
 
@@ -60,13 +65,13 @@ class TestEsd:
         w = random_mat(6, 10, 7)
         scaled = mat(2.5 * w.values)
         np.testing.assert_allclose(
-            esd(scaled).eigenvalues, 2.5**2 * esd(w).eigenvalues, rtol=1e-10
+            esd(scaled), 2.5**2 * esd(w), rtol=1e-10
         )
 
     def test_transpose_invariance(self):
         w = random_mat(6, 10, 11)
         wt = mat(w.values.T)
-        np.testing.assert_allclose(esd(w).eigenvalues, esd(wt).eigenvalues, rtol=1e-10)
+        np.testing.assert_allclose(esd(w), esd(wt), rtol=1e-10)
 
     def test_many_random_matrices_vs_oracle(self):
         rng = np.random.default_rng(2024)
@@ -76,29 +81,40 @@ class TestEsd:
             w = mat(rng.standard_normal((rows, cols)))
             keep = min(rows, cols)
             np.testing.assert_allclose(
-                esd(w).eigenvalues, gram_eigs(w.values, keep), rtol=1e-8, atol=1e-12
+                esd(w), gram_eigs(w.values, keep), rtol=1e-8, atol=1e-12
             )
 
-    def test_esd_clamps_tiny_negative(self):
-        e = Esd(np.array([-1e-13, 1.0]))
-        assert e.eigenvalues[0] == 0.0
+    def test_rank_deficient_at_large_scale(self, tmp_path):
+        # Gram rounding leaves eigenvalues of order +-1e-4 on the zero part of
+        # this spectrum (lambda_max ~ 3e11); the floor zeroes them and nothing
+        # above it.
+        r = 32
+        rng = np.random.default_rng(5)
+        w = mat(1e3 * (rng.standard_normal((256, r)) @ rng.standard_normal((r, 512))))
+        eigs = esd(w)
+        assert eigs.size == 256
+        assert eigs.min() >= 0.0
+        assert np.count_nonzero(eigs) == r
+        manifest = save_manifest(tmp_path, [w])
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["layers"][0]
+        assert (record["n_eff"], record["k_used"]) == (256, r // 2)  # fit over the r positives
 
-    def test_esd_rejects_large_negative(self):
-        with pytest.raises(ValueError):
-            Esd(np.array([-1e-6, 1.0]))
 
+class TestFrobenius:
+    def test_identity(self):
+        assert summarize(mat(np.eye(8))).fro_norm == pytest.approx(np.sqrt(8.0), rel=1e-12)
 
-class TestNorms:
-    def test_frobenius_identity(self):
-        assert frobenius_norm(mat(np.eye(2))) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    def test_pythagorean_diagonal(self):
+        # 3^2 + 4^2 + 12^2 + 84^2 = 85^2
+        w = mat(np.diag([3.0, 4.0, 12.0, 84.0]))
+        assert summarize(w).fro_norm == pytest.approx(85.0, rel=1e-12)
 
-    def test_frobenius_three_four_five(self):
-        assert frobenius_norm(mat(np.diag([3.0, 4.0]))) == pytest.approx(5.0, abs=1e-12)
-
-    def test_trace_identity(self):
-        w = random_mat(8, 16, 5)
-        total = float(np.sum(esd(w).eigenvalues))
-        assert frobenius_norm(w) == pytest.approx(np.sqrt(total), rel=1e-10)
+    def test_matches_numpy_norm(self):
+        for rows, cols, seed in [(8, 16, 5), (16, 8, 6), (12, 12, 7)]:
+            w = random_mat(rows, cols, seed)
+            assert summarize(w).fro_norm == pytest.approx(np.linalg.norm(w.values), rel=1e-12)
 
 
 class TestWeightMatrix:
