@@ -4,7 +4,6 @@ from .allocate import (
     Assignment,
     LRPlan,
     PlanConfig,
-    TrustVariant,
     apply_embedding_override,
     build_plan,
     linear_map,

@@ -10,8 +10,9 @@ projection, and mean-normalized sqrt/log2 maps (unbounded by construction).
 Embedding and output-head layers are pinned to the plan's upper bound
 unless the override is disabled.
 
-Trust-ratio learning rates (weight-norm over gradient/update-norm) are the
-comparison baselines; they share the "per-layer LR" output shape.
+Trust-ratio learning rates (weight norm over a gradient or update norm,
+see optim.py) are the comparison baselines; they share the "per-layer LR"
+output shape.
 """
 
 from __future__ import annotations
@@ -21,21 +22,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import (
-    EmptyInput,
-    InfiniteAlpha,
-    InvalidConfig,
-    MissingUpdateNorm,
-    NonPositiveLog,
-    UnknownLayer,
-)
+from .errors import EmptyInput, InfiniteAlpha, InvalidConfig, NonPositiveLog, UnknownLayer
 from .spectral import PINNED_ROLES, LayerRole
 
 AlphaList = Sequence[tuple[str, float]]
 RoleMap = Mapping[str, LayerRole]
-
-# Upper clip of the LAMB trust ratio ||w|| / ||update||.
-LAMB_MAX_RATIO = 10.0
 
 
 class Assignment(Enum):
@@ -45,19 +36,12 @@ class Assignment(Enum):
     LINEAR_INVERSE = "linear-inv"
 
 
-class TrustVariant(Enum):
-    LARS = "lars"
-    LAMB = "lamb"
-
-
 @dataclass(frozen=True)
 class PlanConfig:
     eta: float
     s: float = 5.0
     assignment: Assignment = Assignment.LINEAR
     embedding_override: bool = True
-    # Optional safety clamp of the unbounded sqrt/log2 maps to [eta, s*eta].
-    clamp_mean_normalized: bool = False
 
     def __post_init__(self):
         if not (self.eta > 0.0):
@@ -140,12 +124,7 @@ def mean_normalized_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LR
     transform = math.sqrt if cfg.assignment is Assignment.SQRT else math.log2
     values = [transform(a) for _, a in alphas]
     mean = sum(values) / len(values)
-    per_layer = []
-    for (name, _), v in zip(alphas, values):
-        lr = cfg.eta * v / mean
-        if cfg.clamp_mean_normalized:
-            lr = min(max(lr, cfg.eta), cfg.s * cfg.eta)
-        per_layer.append((name, lr))
+    per_layer = [(name, cfg.eta * v / mean) for (name, _), v in zip(alphas, values)]
     finite = [a for _, a in alphas]
     return LRPlan(per_layer, min(finite), max(finite), step)
 
@@ -179,27 +158,12 @@ def build_plan(alphas: AlphaList, roles: RoleMap, cfg: PlanConfig, step: int = 0
     return apply_embedding_override(plan, roles, cfg)
 
 
-def trust_ratio_lr(
-    weight_norm: float,
-    grad_norm: float,
-    eta: float,
-    wd: float,
-    variant: TrustVariant,
-    update_norm: float | None = None,
-) -> float:
-    """Per-layer LR from the weight/gradient-norm trust ratio.
+def trust_ratio_lr(weight_norm: float, denom_norm: float, eta: float) -> float:
+    """eta scaled by the trust ratio ||w|| / denom_norm.
 
-    LARS: eta * ||w|| / (||g|| + wd * ||w||). LAMB: eta * ||w|| / ||update||,
-    with the ratio clipped to LAMB_MAX_RATIO (common practice).
-    The ratio is defined as 1 whenever either side of it vanishes.
+    The ratio is defined as 1 whenever either side of it vanishes. The
+    caller picks the denominator (LARS: ||g|| + wd * ||w||; LAMB: the
+    adaptive update's norm) and any clip of the ratio.
     """
-    if variant is TrustVariant.LAMB:
-        if update_norm is None:
-            raise MissingUpdateNorm("LAMB trust ratio needs the adaptive update norm")
-        denom = update_norm
-    else:
-        denom = grad_norm + wd * weight_norm
-    ratio = 1.0 if (weight_norm == 0.0 or denom == 0.0) else weight_norm / denom
-    if variant is TrustVariant.LAMB:
-        ratio = min(ratio, LAMB_MAX_RATIO)
+    ratio = 1.0 if (weight_norm == 0.0 or denom_norm == 0.0) else weight_norm / denom_norm
     return eta * ratio

@@ -103,7 +103,7 @@ def cmd_schedule(args) -> int:
     roles = {w.name: w.role for w in matrices}
     names = [w.name for w in matrices]
     rows = []
-    state = ScheduleState.initial()
+    state = ScheduleState()
     for t in range(args.steps):
         state = on_step(state, cfg, lambda _t: alphas, plan_cfg, roles, t)
         lrs = lrs_at(state, cfg, plan_cfg.eta, names, t)

@@ -5,6 +5,9 @@ DataError (ParseError and EmptyInput included) -> 3, NumericalError and
 every other TailwiseError -> 4. A layer whose spectral summary raises a
 DataError or NumericalError does not fail a command: it is excluded from
 the plan and follows the global schedule at eta.
+
+Every class either reaches a command's output (the stderr record, or the
+"error" field of an `analyze` layer) or guards a public function's input.
 """
 
 
@@ -59,10 +62,6 @@ class InfiniteAlpha(NumericalError):
 
 
 class NonPositiveLog(NumericalError):
-    pass
-
-
-class MissingUpdateNorm(TailwiseError):
     pass
 
 

@@ -268,7 +268,7 @@ def forward_loss(model: Model, tokens: np.ndarray) -> float:
     return loss
 
 
-def loss_and_grads(model: Model, tokens: np.ndarray, loss_scale: float = 1.0):
+def loss_and_grads(model: Model, tokens: np.ndarray):
     """One combined forward/backward pass; grads keyed like ``model.params``."""
     cfg = model.cfg
     p = model.params
@@ -281,7 +281,7 @@ def loss_and_grads(model: Model, tokens: np.ndarray, loss_scale: float = 1.0):
     dlogits = probs
     np.put_along_axis(dlogits, targets[..., None],
                       np.take_along_axis(dlogits, targets[..., None], axis=-1) - 1.0, axis=-1)
-    dlogits *= loss_scale / (b * t)
+    dlogits *= 1.0 / (b * t)
 
     d = cfg.d_model
     dhead = dlogits.reshape(-1, cfg.vocab).T @ c["h"].reshape(-1, d)

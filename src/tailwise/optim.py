@@ -2,8 +2,9 @@
 
 Gradient clipping acts on the global norm across all parameters before
 any moment update. Trust-ratio variants rescale each matrix group's LR by
-the weight/gradient-norm (LARS) or weight/update-norm (LAMB) ratio;
-1-D groups (norm gains) keep the plain LR and take no weight decay.
+||w|| / (||g|| + wd * ||w||) (LARS) or ||w|| / ||update|| clipped at
+LAMB_MAX_RATIO (LAMB); 1-D groups (norm gains) keep the plain LR and take
+no weight decay.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocate import TrustVariant, trust_ratio_lr
+from .allocate import trust_ratio_lr
 from .errors import ShapeMismatch
+
+# Upper clip of the LAMB trust ratio ||w|| / ||update||.
+LAMB_MAX_RATIO = 10.0
 
 
 class OptimizerKind(Enum):
@@ -76,8 +80,9 @@ def adamw_step(
         if optimizer is not OptimizerKind.ADAMW and w.ndim == 2:
             w_norm = float(np.linalg.norm(w))
             if optimizer is OptimizerKind.ADAMW_LARS:
-                lr = trust_ratio_lr(w_norm, float(np.linalg.norm(g)), lr, decay, TrustVariant.LARS)
+                lr = trust_ratio_lr(w_norm, float(np.linalg.norm(g)) + decay * w_norm, lr)
             else:
-                lr = trust_ratio_lr(w_norm, 0.0, lr, decay, TrustVariant.LAMB,
-                                    update_norm=float(np.linalg.norm(update)))
+                # eta * min(r, 10) == min(eta * r, 10 * eta): rounding is monotone.
+                lr = min(trust_ratio_lr(w_norm, float(np.linalg.norm(update)), lr),
+                         LAMB_MAX_RATIO * lr)
         w -= lr * (update + decay * w)

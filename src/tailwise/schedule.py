@@ -1,28 +1,27 @@
 """Per-step, per-layer learning-rate trajectories.
 
 A base schedule (cosine-with-warmup or warmup-stable-decay) is evaluated
-at each layer's plan peak. Plans are recomputed on a fixed cadence during
-the initial active phase; each recompute opens a soft-switch window that
-linearly blends a layer's LR from its value at the recompute step to the
-new plan's scheduled value at the window end, avoiding LR spikes. After
-the active phase the last plan's ratios are frozen for the rest of
-training.
+at each layer's plan peak. Plans are recomputed at the multiples of
+recompute_interval up to active_steps = floor(active_fraction * t_max),
+worked out exactly from the decimal active_fraction. In soft mode each
+recompute after the first opens a switch window that linearly blends a
+layer's LR from its value at the recompute step to the new plan's
+scheduled value at the window end, avoiding LR spikes; a window that
+would run past t_max ends there. After the active phase the last plan's
+ratios hold for the rest of training.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .allocate import LRPlan, PlanConfig, build_plan
 from .errors import InvalidConfig, NonMonotonicStep, StepOutOfRange, UnknownLayer
 from .spectral import LayerRole
-
-# Slack for the active-phase boundary test t <= active_fraction * t_max,
-# which is exact in real arithmetic but not in floats.
-_ACTIVE_EDGE_TOL = 1e-9
 
 AlphaProvider = Callable[[int], Sequence[tuple[str, float]]]
 
@@ -48,6 +47,9 @@ class ScheduleConfig:
     active_fraction: float = 0.2
     switch_mode: SwitchMode = SwitchMode.SOFT
     wsd_stable_fraction: float = 0.8
+    # Last step that may recompute: floor(active_fraction * t_max), taken in
+    # exact decimal arithmetic (0.29 * 100 is 29, not 28.999999999999996).
+    active_steps: int = field(init=False)
 
     def __post_init__(self):
         if self.t_max < 1:
@@ -66,33 +68,20 @@ class ScheduleConfig:
             raise InvalidConfig("active_fraction must lie in (0, 1]")
         if not 0.0 < self.wsd_stable_fraction < 1.0:
             raise InvalidConfig("wsd_stable_fraction must lie in (0, 1)")
-
-    @property
-    def active_limit(self) -> float:
-        return self.active_fraction * self.t_max + _ACTIVE_EDGE_TOL
+        active = math.floor(Fraction(str(self.active_fraction)) * self.t_max)
+        object.__setattr__(self, "active_steps", active)
 
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Trajectory state owned by a single training loop."""
+    """Trajectory state owned by a single training loop; ScheduleState() is the start."""
 
-    t: int
-    current_plan: LRPlan | None
-    previous_plan: LRPlan | None
-    last_recompute_step: int
-    in_switch_until: int
-    frozen: bool
-
-    @staticmethod
-    def initial() -> "ScheduleState":
-        return ScheduleState(
-            t=-1,
-            current_plan=None,
-            previous_plan=None,
-            last_recompute_step=-1,
-            in_switch_until=0,
-            frozen=False,
-        )
+    t: int = -1
+    current_plan: LRPlan | None = None
+    # The plan a soft switch window blends from: set when a soft-mode
+    # recompute replaces a plan, None after any other recompute.
+    previous_plan: LRPlan | None = None
+    last_recompute_step: int = -1
 
 
 def base_lr_at(cfg: ScheduleConfig, peak: float, t: int) -> float:
@@ -121,14 +110,15 @@ def base_lr_at(cfg: ScheduleConfig, peak: float, t: int) -> float:
 
 def recompute_due(cfg: ScheduleConfig, t: int) -> bool:
     """True when step t is a plan-recompute boundary inside the active phase."""
-    return t % cfg.recompute_interval == 0 and t <= cfg.active_limit
+    return t % cfg.recompute_interval == 0 and t <= cfg.active_steps
 
 
 def layer_lr_at(state: ScheduleState, cfg: ScheduleConfig, layer: str, t: int) -> float:
     """LR applied to ``layer`` at step t.
 
-    Inside a soft-switch window the value blends linearly between the
-    layer's LR at the recompute step (old plan's schedule) and the new
+    Inside a soft-switch window, which runs from the recompute step to
+    min(recompute step + t_switch, t_max), the value blends linearly between
+    the layer's LR at the recompute step (old plan's schedule) and the new
     plan's scheduled value at the window end; when old and new peaks are
     identical the blend is skipped so an unchanged plan follows the base
     schedule bit-exactly.
@@ -136,19 +126,15 @@ def layer_lr_at(state: ScheduleState, cfg: ScheduleConfig, layer: str, t: int) -
     if state.current_plan is None:
         raise UnknownLayer(f"{layer}: no plan has been computed yet")
     peak = state.current_plan.base_lr(layer)
+    previous = state.previous_plan
     start_step = state.last_recompute_step
-    in_window = (
-        cfg.switch_mode is SwitchMode.SOFT
-        and state.previous_plan is not None
-        and start_step <= t < state.in_switch_until
-        and layer in state.previous_plan
-    )
-    if in_window:
-        old_peak = state.previous_plan.base_lr(layer)
+    end_step = min(start_step + cfg.t_switch, cfg.t_max)
+    if previous is not None and start_step <= t < end_step and layer in previous:
+        old_peak = previous.base_lr(layer)
         if old_peak != peak:
             start = base_lr_at(cfg, old_peak, start_step)
-            target = base_lr_at(cfg, peak, start_step + cfg.t_switch)
-            frac = (t - start_step) / cfg.t_switch
+            target = base_lr_at(cfg, peak, end_step)
+            frac = (t - start_step) / (end_step - start_step)
             return start + frac * (target - start)
     return base_lr_at(cfg, peak, t)
 
@@ -186,26 +172,18 @@ def on_step(
     """Advance the schedule by one optimizer step.
 
     On recompute boundaries inside the active phase this calls the alpha
-    provider, builds a fresh plan, and opens a switch window. A provider
-    that returns no alphas (no layer could be fitted) yields no plan, so
-    every layer follows the base schedule at eta until a later recompute.
-    The first step past the active phase freezes the current plan's ratios
-    for the remainder of training.
+    provider and builds a fresh plan; in soft mode, with a plan already
+    current, that plan is kept as ``previous_plan`` to blend from. A
+    provider that returns no alphas (no layer could be fitted) yields no
+    plan, so every layer follows the base schedule at eta until a later
+    recompute. Past the active phase the current plan holds to the end.
     """
     if t != state.t + 1:
         raise NonMonotonicStep(f"expected t={state.t + 1}, got {t}")
-    frozen = state.frozen or t > cfg.active_limit
-    if not frozen and recompute_due(cfg, t):
-        alphas = alpha_provider(t)
-        plan = build_plan(alphas, roles, plan_cfg, step=t) if alphas else None
-        first = state.current_plan is None
-        return ScheduleState(
-            t=t,
-            current_plan=plan,
-            previous_plan=plan if first else state.current_plan,
-            last_recompute_step=t,
-            in_switch_until=t if first or cfg.switch_mode is SwitchMode.HARD else t + cfg.t_switch,
-            frozen=False,
-        )
-    return replace(state, t=t, frozen=frozen)
+    if not recompute_due(cfg, t):
+        return replace(state, t=t)
+    alphas = alpha_provider(t)
+    plan = build_plan(alphas, roles, plan_cfg, step=t) if alphas else None
+    previous = state.current_plan if cfg.switch_mode is SwitchMode.SOFT else None
+    return ScheduleState(t=t, current_plan=plan, previous_plan=previous, last_recompute_step=t)
 

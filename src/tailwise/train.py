@@ -61,6 +61,9 @@ class OptimConfig:
             raise InvalidConfig("eta must be positive")
         if self.plan_cfg is None:
             self.plan_cfg = PlanConfig(eta=self.eta)
+        elif self.plan_cfg.eta != self.eta:
+            raise InvalidConfig(f"plan eta {self.plan_cfg.eta} != optim eta {self.eta}: "
+                                "a run has one eta")
 
 
 @dataclass
@@ -148,7 +151,7 @@ def run_training(
     history: list[list[SpectralSummary]] = []
     stds: list[float] = []
     boundaries: list[int] = []
-    state = ScheduleState.initial()
+    state = ScheduleState()
 
     def provider(t: int):
         summaries, _ = sweep_summaries(model.weight_matrices(), opt_cfg.fit_cfg)

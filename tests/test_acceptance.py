@@ -2,12 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The directional
 training study (criteria 9 and 10) trains nine toy models and is shared
-across both tests through a session fixture.
+across both tests through a session fixture. ``tests/conftest.py`` runs
+the tests that use it after the rest of the suite.
 """
 
 import json
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -30,6 +34,11 @@ STUDY_STEPS = 2000
 STUDY_ETA = 3e-3
 STUDY_S = 5.0
 STUDY_BUDGET_SECONDS = 900.0
+STUDY_ARMS = {
+    "uniform": (TrainMode.UNIFORM, Assignment.LINEAR),
+    "llr": (TrainMode.LLR, Assignment.LINEAR),
+    "inv": (TrainMode.LLR, Assignment.LINEAR_INVERSE),
+}
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -73,17 +82,46 @@ def study_run(seed: int, mode: TrainMode, assignment: Assignment, steps: int = S
     return run_training(model_cfg, opt_cfg, data_cfg, steps)
 
 
+def study_arm(seed: int, arm: str, steps: int = STUDY_STEPS):
+    mode, assignment = STUDY_ARMS[arm]
+    return study_run(seed, mode, assignment, steps)
+
+
+def study_in_workers(jobs):
+    """``study_arm(*job)`` for each job, in spawned workers, one per core.
+
+    Each worker's BLAS gets one thread: at the study's size (1024 x 64 by
+    64 x 256 at most) a second thread adds CPU time without cutting the
+    step time, and two workers at two threads each oversubscribe the cores.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            return list(pool.map(study_arm, *zip(*jobs)))
+
+
 @pytest.fixture(scope="session")
 def directional_study():
+    # The nine runs are independent and seeded, so they train side by side.
+    jobs = [(seed, arm) for seed in STUDY_SEEDS for arm in STUDY_ARMS]
     t0 = time.time()
-    runs = {}
-    for seed in STUDY_SEEDS:
-        runs[seed] = {
-            "uniform": study_run(seed, TrainMode.UNIFORM, Assignment.LINEAR),
-            "llr": study_run(seed, TrainMode.LLR, Assignment.LINEAR),
-            "inv": study_run(seed, TrainMode.LLR, Assignment.LINEAR_INVERSE),
-        }
-    return runs, time.time() - t0
+    results = study_in_workers(jobs)
+    elapsed = time.time() - t0
+    runs = {seed: {} for seed in STUDY_SEEDS}
+    for (seed, arm), run in zip(jobs, results):
+        runs[seed][arm] = run
+    return runs, elapsed
+
+
+def test_study_workers_match_in_process():
+    # A study run trained in a worker gives the bits it gives in this process.
+    job = (0, "llr", 100)
+    (remote,) = study_in_workers([job])
+    local = study_arm(*job)
+    assert np.array_equal(remote.losses, local.losses)
+    assert remote.lr_timeline == local.lr_timeline
+    assert remote.alpha_std_history == local.alpha_std_history
 
 
 def test_c01_hill_oracle_equivalence():
@@ -200,7 +238,7 @@ def test_c06_soft_switch_no_spike():
         cfg = ScheduleConfig(t_max=1000, warmup_steps=0, min_lr_fraction=1.0,
                              recompute_interval=100, t_switch=50,
                              active_fraction=1.0, switch_mode=mode)
-        state = ScheduleState.initial()
+        state = ScheduleState()
         values = []
         for t in range(200):
             state = on_step(state, cfg, lambda _t: table.get(_t, table[100]),
@@ -235,7 +273,7 @@ def test_c07_recompute_cadence():
             calls.append(t)
             return [("a", 2.0), ("b", 3.0)]
 
-        state = ScheduleState.initial()
+        state = ScheduleState()
         for t in range(1000):
             state = on_step(state, cfg, provider, plan_cfg, roles, t)
         counts[active] = len(calls)

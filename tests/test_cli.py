@@ -261,6 +261,7 @@ class TestTrainCommand:
         ({"optim": {"etaa": 1e-3}}, 2, "InvalidConfig", "unknown keys ['etaa']"),
         ({"stepz": 30}, 2, "InvalidConfig", "unknown keys ['stepz']"),
         ({"fit": {"k_override": 1000}}, 2, "BadK", "k_override=1000"),
+        ({"plan": {"eta": 1e-2}}, 2, "InvalidConfig", "a run has one eta"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -334,6 +335,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o2")]) == 2
         errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [e["error"] for e in errors] == ["InvalidConfig", "InvalidConfig"]
+
+    def test_switch_window_ends_at_the_last_step(self, tmp_path):
+        # The step-55 recompute's window would run to step 105; it ends at step 100.
+        config = small_config(steps=100)
+        config["schedule"] = {"recompute_interval": 55, "t_switch": 50, "active_fraction": 0.6}
+        cfg_path, out_dir = tmp_path / "run.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [r["step"] for r in summary["recomputes"]] == [0, 55]
+        rows = (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 100 * 9
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

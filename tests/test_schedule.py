@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailwise.allocate import PlanConfig
+from tailwise.allocate import Assignment, PlanConfig
 from tailwise.errors import InvalidConfig, NonMonotonicStep, StepOutOfRange, UnknownLayer
 from tailwise.schedule import (
     BaseSchedule,
@@ -28,7 +30,7 @@ def flat_cfg(t_max=1000, **kw):
 
 
 def drive(cfg, provider, plan_cfg, steps, roles=ROLES):
-    state = ScheduleState.initial()
+    state = ScheduleState()
     states = []
     for t in range(steps):
         state = on_step(state, cfg, provider, plan_cfg, roles, t)
@@ -89,7 +91,7 @@ class TestSwitchWindow:
             return table.get(t, table[100])
 
         plan_cfg = PlanConfig(eta=1e-3, s=3.0)
-        state = ScheduleState.initial()
+        state = ScheduleState()
         for t in range(101):
             state = on_step(state, cfg2, provider, plan_cfg, ROLES, t)
         # layer a: old peak eta=1e-3, new peak 3e-3 (alpha at top of range)
@@ -102,7 +104,7 @@ class TestSwitchWindow:
         cfg = flat_cfg(t_max=1000, t_switch=50, recompute_interval=100, active_fraction=1.0)
         table = {0: [("a", 2.0), ("b", 4.0)], 100: [("a", 4.0), ("b", 2.0)]}
         plan_cfg = PlanConfig(eta=1e-3, s=5.0)
-        state = ScheduleState.initial()
+        state = ScheduleState()
         values = []
         for t in range(200):
             provider = lambda _t: table.get(_t, table[100])
@@ -117,7 +119,7 @@ class TestSwitchWindow:
                        active_fraction=1.0, switch_mode=SwitchMode.HARD)
         table = {0: [("a", 2.0), ("b", 4.0)], 100: [("a", 4.0), ("b", 2.0)]}
         plan_cfg = PlanConfig(eta=1e-3, s=5.0)
-        state = ScheduleState.initial()
+        state = ScheduleState()
         values = []
         for t in range(150):
             state = on_step(state, cfg, lambda _t: table.get(_t, table[100]),
@@ -138,6 +140,20 @@ class TestSwitchWindow:
             st = states[t]
             assert layer_lr_at(st, cfg, "a", t) == base_lr_at(cfg, 1e-3, t)
             assert layer_lr_at(st, cfg, "b", t) == base_lr_at(cfg, 5e-3, t)
+
+    def test_window_ends_at_the_last_step(self):
+        # The step-55 window would reach step 105; it ends at t_max = 100 instead,
+        # so it blends over 45 steps.
+        cfg = flat_cfg(t_max=100, recompute_interval=55, t_switch=50, active_fraction=0.6)
+        table = {0: [("a", 2.0), ("b", 4.0)], 55: [("a", 4.0), ("b", 2.0)]}
+        plan_cfg = PlanConfig(eta=1e-3, s=5.0)
+        states = drive(cfg, lambda t: table[t], plan_cfg, 100)
+        rows = timeline(states, cfg, 1e-3, ["a", "b"])
+        assert len(rows) == 200
+        a, b = 1e-3, 5e-3  # layer "a" moves from the bottom to the top bound
+        assert layer_lr_at(states[54], cfg, "a", 54) == a
+        assert layer_lr_at(states[55], cfg, "a", 55) == a
+        assert layer_lr_at(states[99], cfg, "a", 99) == a + 44 / 45 * (b - a)
 
     def test_unknown_layer(self):
         cfg = flat_cfg()
@@ -175,14 +191,11 @@ class TestOnStep:
         cfg = ScheduleConfig(t_max=1000, recompute_interval=100, t_switch=50,
                              active_fraction=0.2)
         states = drive(cfg, lambda t: [("a", 2.0), ("b", 3.0)], PlanConfig(eta=1e-3), 1000)
-        assert not states[200].frozen
-        assert states[201].frozen
-        assert states[999].frozen
         assert states[999].current_plan is states[200].current_plan
 
     def test_non_monotonic_step(self):
         cfg = flat_cfg()
-        state = ScheduleState.initial()
+        state = ScheduleState()
         state = on_step(state, cfg, lambda t: [("a", 2.0)], PlanConfig(eta=1e-3), ROLES, 0)
         with pytest.raises(NonMonotonicStep):
             on_step(state, cfg, lambda t: [("a", 2.0)], PlanConfig(eta=1e-3), ROLES, 2)
@@ -202,6 +215,12 @@ class TestOnStep:
                              active_fraction=0.2)
         due = [t for t in range(1000) if recompute_due(cfg, t)]
         assert due == [0, 100, 200]
+
+    def test_active_steps_exact_at_decimal_edge(self):
+        # 0.29 * 100 is 28.999999999999996 in floats; the active phase still ends at 29.
+        cfg = ScheduleConfig(t_max=100, recompute_interval=29, t_switch=1, active_fraction=0.29)
+        assert cfg.active_steps == 29
+        assert [t for t in range(100) if recompute_due(cfg, t)] == [0, 29]
 
 
 def timeline(states, cfg, eta, names):
@@ -253,3 +272,51 @@ class TestLrsAt:
                 assert lr == base_lr_at(cfg, 2e-3, step)
             else:
                 assert lr == layer_lr_at(states[step], cfg, layer, step)
+
+
+@st.composite
+def schedule_configs(draw):
+    t_max = draw(st.integers(1, 300))
+    interval = draw(st.integers(1, t_max))
+    return ScheduleConfig(
+        t_max=t_max,
+        base=draw(st.sampled_from(BaseSchedule)),
+        warmup_steps=draw(st.integers(0, t_max - 1)),
+        min_lr_fraction=draw(st.floats(0.0, 1.0)),
+        recompute_interval=interval,
+        t_switch=draw(st.integers(1, interval)),
+        active_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        switch_mode=draw(st.sampled_from(SwitchMode)),
+        wsd_stable_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
+ALPHAS = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "emb"]),
+              st.one_of(st.floats(1.01, 8.0), st.just(math.inf))),
+    unique_by=lambda pair: pair[0],
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(cfg=schedule_configs(), eta=st.floats(1e-5, 1.0), s=st.floats(1.0, 10.0),
+       assignment=st.sampled_from([Assignment.LINEAR, Assignment.LINEAR_INVERSE]),
+       data=st.data())
+def test_every_step_stays_in_bounds(cfg, eta, s, assignment, data):
+    # Fresh alphas at each recompute (some layers or all of them may be missing);
+    # every step of the run must give each name an LR in [0, s*eta], a name
+    # outside the current plan must follow the base schedule at eta, and a
+    # soft switch must start where the old plan's schedule stands (no spike).
+    plan_cfg = PlanConfig(eta=eta, s=s, assignment=assignment)
+    names = ["a", "b", "emb", "gain"]
+    state = ScheduleState()
+    for t in range(cfg.t_max):
+        state = on_step(state, cfg, lambda _t: data.draw(ALPHAS), plan_cfg, ROLES, t)
+        lrs = lrs_at(state, cfg, eta, names, t)
+        plan, previous = state.current_plan, state.previous_plan
+        for name, lr in lrs.items():
+            assert 0.0 <= lr <= s * eta * (1 + 1e-12)  # one rounding of slack
+            if plan is None or name not in plan:
+                assert lr == base_lr_at(cfg, eta, t)
+            elif state.last_recompute_step == t and previous is not None and name in previous:
+                assert lr == base_lr_at(cfg, previous.base_lr(name), t)

@@ -83,7 +83,7 @@ class TestRunTraining:
         def provider(t):
             return [(s.layer_name, s.alpha) for s in sweeps[t]]
 
-        state = ScheduleState.initial()
+        state = ScheduleState()
         replay = []
         for t in range(STEPS):
             state = on_step(state, cfg, provider, PlanConfig(eta=2e-3, s=4.0), model.roles, t)
