@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .allocate import Assignment, PlanConfig
-from .data import CorpusKind, DataConfig
+from .data import DataConfig
 from .errors import DataError, DivergedLoss, EmptyInput, InvalidConfig, ParseError, TailwiseError
+from .fromjson import from_json
 from .manifest import load_manifest
 from .model import ModelConfig
-from .optim import OptimizerKind
 from .reports import (
     analysis_report,
     plan_document,
@@ -31,7 +33,7 @@ from .reports import (
 )
 from .schedule import BaseSchedule, ScheduleConfig, ScheduleState, SwitchMode, lrs_at, on_step
 from .tailfit import FitConfig, FitMethod
-from .train import OptimConfig, TrainMode, TrainRun, run_training, sweep_summaries
+from .train import OptimConfig, TrainRun, run_training, sweep_summaries
 
 
 def _write(out: str | None, text: str) -> None:
@@ -112,63 +114,17 @@ def cmd_schedule(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = {"steps", "model", "data", "optim", "plan", "schedule", "fit"}
-_OPTIM_KEYS = {"optimizer", "eta", "betas", "eps", "weight_decay", "grad_clip", "mode"}
+@dataclass(frozen=True)
+class TrainFile:
+    """A train config's top level: the step count and one object per section."""
 
-
-def _config_from(doc: dict, section: str, builder, **extra):
-    entries = dict(doc.get(section, {}))
-    entries.update(extra)
-    return builder(**entries)
-
-
-def _check_keys(where: str, entries: dict, known: set[str]) -> None:
-    unknown = sorted(set(entries) - known)
-    if unknown:
-        raise InvalidConfig(f"{where}: unknown keys {unknown}")
-
-
-def _train_configs(doc: dict) -> tuple[int, ModelConfig, OptimConfig, DataConfig]:
-    _check_keys("config", doc, _CONFIG_KEYS)
-    steps = int(doc.get("steps", 2000))
-
-    model_cfg = _config_from(doc, "model", ModelConfig)
-    data_cfg = _config_from(doc, "data", DataConfig,
-                            kind=CorpusKind(doc.get("data", {}).get("kind", "markov")),
-                            vocab=doc.get("data", {}).get("vocab", model_cfg.vocab))
-
-    optim = dict(doc.get("optim", {}))
-    _check_keys("config section 'optim'", optim, _OPTIM_KEYS)
-    eta = float(optim.get("eta", 1e-3))
-    plan_section = dict(doc.get("plan", {}))
-    plan_section.setdefault("eta", eta)
-    plan_section["assignment"] = Assignment(plan_section.get("assignment", "linear"))
-    plan_cfg = _config_from({"plan": plan_section}, "plan", PlanConfig)
-
-    sched_section = dict(doc.get("schedule", {}))
-    sched_section.setdefault("t_max", steps)
-    sched_section.setdefault("warmup_steps", steps // 10)
-    sched_section["base"] = BaseSchedule(sched_section.get("base", "cosine"))
-    sched_section["switch_mode"] = SwitchMode(sched_section.get("switch_mode", "soft"))
-    sched_cfg = _config_from({"schedule": sched_section}, "schedule", ScheduleConfig)
-
-    fit_section = dict(doc.get("fit", {}))
-    fit_section["method"] = FitMethod(fit_section.get("method", "median"))
-    fit_cfg = _config_from({"fit": fit_section}, "fit", FitConfig)
-
-    opt_cfg = OptimConfig(
-        optimizer=OptimizerKind(optim.get("optimizer", "adamw")),
-        eta=eta,
-        betas=tuple(optim.get("betas", (0.9, 0.999))),
-        eps=float(optim.get("eps", 1e-8)),
-        weight_decay=float(optim.get("weight_decay", 0.1)),
-        grad_clip=float(optim.get("grad_clip", 1.0)),
-        mode=TrainMode(optim.get("mode", "llr")),
-        plan_cfg=plan_cfg,
-        schedule_cfg=sched_cfg,
-        fit_cfg=fit_cfg,
-    )
-    return steps, model_cfg, opt_cfg, data_cfg
+    steps: int = 2000
+    model: dict = field(default_factory=dict)
+    data: dict = field(default_factory=dict)
+    optim: dict = field(default_factory=dict)
+    plan: dict = field(default_factory=dict)
+    schedule: dict = field(default_factory=dict)
+    fit: dict = field(default_factory=dict)
 
 
 def _write_run(out_dir: Path, run: TrainRun) -> None:
@@ -181,17 +137,25 @@ def cmd_train(args) -> int:
         doc = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{args.config}: {exc}") from exc
-    try:
-        steps, model_cfg, opt_cfg, data_cfg = _train_configs(doc)
-    except (AttributeError, TypeError, ValueError) as exc:  # malformed section or value
-        raise InvalidConfig(f"{args.config}: {exc}") from exc
+    read = partial(from_json, error=InvalidConfig)
+    top = read(TrainFile, doc, "config")
+    model_cfg = read(ModelConfig, top.model, "model")
+    data_cfg = read(DataConfig, top.data, "data", vocab=model_cfg.vocab)
+    opt_cfg = read(OptimConfig, top.optim, "optim")
+    opt_cfg = replace(
+        opt_cfg,
+        plan_cfg=read(PlanConfig, top.plan, "plan", eta=opt_cfg.eta),
+        schedule_cfg=read(ScheduleConfig, top.schedule, "schedule",
+                          t_max=top.steps, warmup_steps=top.steps // 10),
+        fit_cfg=read(FitConfig, top.fit, "fit"),
+    )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         # Overflow on the way to a diverged loss is reported by DivergedLoss.
         with np.errstate(all="ignore"):
-            run = run_training(model_cfg, opt_cfg, data_cfg, steps)
+            run = run_training(model_cfg, opt_cfg, data_cfg, top.steps)
     except DivergedLoss as exc:
         _write_run(out_dir, exc.partial)
         raise
@@ -218,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("schedule", help="timeline CSV for a hypothetical run (frozen alphas)")
+    p = sub.add_parser("schedule", help="timeline CSV for a hypothetical run (frozen alphas)",
+                       description="Alphas are frozen from the manifest, so every recompute "
+                       "rebuilds the same plan: --interval, --switch, --active and --switch-mode "
+                       "are checked but do not change the CSV.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--interval", type=int, default=None, help="default: min(100, steps)")

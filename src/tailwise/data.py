@@ -32,6 +32,8 @@ class DataConfig:
             raise InvalidConfig("length must be >= 2")
         if self.batch < 1:
             raise InvalidConfig("batch must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be non-negative")
 
 
 # Transition rows are a peaky Dirichlet draw (small concentration) mixed

@@ -10,31 +10,20 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ByteRangeError, ParseError
+from .fromjson import from_json, read_value
 from .spectral import LayerRole, WeightMatrix
 
 log = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-
-ROLE_FROM_STRING = {
-    "embed": LayerRole.EMBEDDING,
-    "output_head": LayerRole.OUTPUT_HEAD,
-    "att.q": LayerRole.ATT_Q,
-    "att.k": LayerRole.ATT_K,
-    "att.v": LayerRole.ATT_V,
-    "att.o": LayerRole.ATT_O,
-    "ffn.gate": LayerRole.FFN_GATE,
-    "ffn.up": LayerRole.FFN_UP,
-    "ffn.down": LayerRole.FFN_DOWN,
-    "other": LayerRole.OTHER_2D,
-}
+_MATRIX_ROLES = {r.value: r for r in LayerRole if r is not LayerRole.NON_MATRIX}
 
 
 @dataclass(frozen=True)
@@ -49,18 +38,7 @@ class ManifestLayer:
 
 
 def _parse_layer(entry, index: int) -> ManifestLayer:
-    try:
-        layer = ManifestLayer(
-            name=str(entry["name"]),
-            role=str(entry["role"]),
-            rows=int(entry["rows"]),
-            cols=int(entry["cols"]),
-            dtype=str(entry["dtype"]),
-            file=str(entry["file"]),
-            byte_offset=int(entry["byte_offset"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"layer {index}: {exc}") from exc
+    layer = from_json(ManifestLayer, entry, f"layers[{index}]", ParseError)
     if layer.rows < 1 or layer.cols < 1:
         raise ParseError(f"{layer.name}: rows and cols must be positive")
     if layer.dtype not in _DTYPES:
@@ -76,7 +54,9 @@ def parse_manifest(path: str | Path) -> list[ManifestLayer]:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
+    if (not isinstance(doc, dict)
+            or read_value(int, doc.get("version"), f"{path}: version", ParseError)
+            != MANIFEST_VERSION):
         raise ParseError(f"{path}: expected version {MANIFEST_VERSION} manifest")
     entries = doc.get("layers")
     if not isinstance(entries, list) or not entries:
@@ -122,7 +102,7 @@ def load_manifest(path: str | Path) -> list[WeightMatrix]:
             fh.seek(l.byte_offset)
             raw = fh.read(count * dtype.itemsize)
         values = np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(l.rows, l.cols)
-        role = ROLE_FROM_STRING.get(l.role)
+        role = _MATRIX_ROLES.get(l.role)
         if role is None:
             log.warning("%s: unknown role %r, treating as generic 2-D", l.name, l.role)
             role = LayerRole.OTHER_2D
@@ -148,17 +128,8 @@ def save_manifest(
         for w in matrices:
             blob = np.ascontiguousarray(w.values, dtype=np_dtype).tobytes()
             fh.write(blob)
-            entries.append(
-                {
-                    "name": w.name,
-                    "role": w.role.value,
-                    "rows": w.rows,
-                    "cols": w.cols,
-                    "dtype": dtype,
-                    "file": data_file,
-                    "byte_offset": offset,
-                }
-            )
+            entries.append(asdict(ManifestLayer(w.name, w.role.value, w.rows, w.cols,
+                                                dtype, data_file, offset)))
             offset += len(blob)
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(

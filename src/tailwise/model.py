@@ -45,6 +45,8 @@ class ModelConfig:
             raise InvalidConfig("head dimension must be even for rotary pairs")
         if self.dtype not in ("f32", "f64"):
             raise InvalidConfig("dtype must be 'f32' or 'f64'")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be non-negative")
 
     @property
     def head_dim(self) -> int:
@@ -57,17 +59,6 @@ class ModelConfig:
     @property
     def np_dtype(self) -> np.dtype:
         return np.dtype(np.float32 if self.dtype == "f32" else np.float64)
-
-
-_BLOCK_MATRIX_ROLES = {
-    "att.q": LayerRole.ATT_Q,
-    "att.k": LayerRole.ATT_K,
-    "att.v": LayerRole.ATT_V,
-    "att.o": LayerRole.ATT_O,
-    "ffn.gate": LayerRole.FFN_GATE,
-    "ffn.up": LayerRole.FFN_UP,
-    "ffn.down": LayerRole.FFN_DOWN,
-}
 
 
 class Model:

@@ -47,7 +47,7 @@ class OptimConfig:
     eps: float = 1e-8
     weight_decay: float = 0.1
     grad_clip: float = 1.0
-    mode: TrainMode = TrainMode.UNIFORM
+    mode: TrainMode = TrainMode.LLR
     plan_cfg: PlanConfig | None = None
     schedule_cfg: ScheduleConfig | None = None
     fit_cfg: FitConfig = field(default_factory=FitConfig)

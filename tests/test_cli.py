@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import types
+import typing
 import warnings
 
 import numpy as np
@@ -7,11 +10,14 @@ import pytest
 
 from tailwise.allocate import PlanConfig
 from tailwise.cli import main
+from tailwise.data import DataConfig
 from tailwise.manifest import save_manifest
+from tailwise.model import ModelConfig
 from tailwise.reports import analysis_report, dumps, format_float, timeline_csv
 from tailwise.schedule import ScheduleConfig, base_lr_at
 from tailwise.spectral import LayerRole, WeightMatrix
 from tailwise.tailfit import FitConfig, summarize
+from tailwise.train import OptimConfig
 
 
 def demo_manifest(tmp_path, seed=0):
@@ -232,6 +238,33 @@ def small_config(steps=30):
     }
 
 
+CONFIG_SECTIONS = {"model": ModelConfig, "data": DataConfig, "optim": OptimConfig,
+                   "plan": PlanConfig, "schedule": ScheduleConfig, "fit": FitConfig}
+
+
+def wrongly_typed_fields():
+    """(section, field, value) for each settable config field and JSON value of a wrong type."""
+    for section, cls in CONFIG_SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if not f.init or f.name in ("plan_cfg", "schedule_cfg", "fit_cfg"):
+                continue
+            tp = hints[f.name]
+            if isinstance(tp, types.UnionType):  # X | None takes null too
+                tp = typing.get_args(tp)[0]
+            values = [{"x": 1}, 5 if tp is str else "1"]
+            if tp is int:
+                values += [1.5, True]
+            elif tp is float:
+                values += [True]
+            elif tp is bool:
+                values += [1]
+            elif typing.get_origin(tp) is tuple:
+                values += [[0.9, True]]
+            for value in values:
+                yield section, f.name, value
+
+
 class TestTrainCommand:
     def test_smoke_run_writes_outputs(self, tmp_path):
         config = small_config()
@@ -257,11 +290,20 @@ class TestTrainCommand:
     @pytest.mark.parametrize("patch, code, error, words", [
         ({"data": {"kind": "nope"}}, 2, "InvalidConfig", "'nope' is not a valid CorpusKind"),
         ({"optim": {"mode": "weird"}}, 2, "InvalidConfig", "'weird' is not a valid TrainMode"),
-        ({"model": {"widht": 8}}, 2, "InvalidConfig", "keyword argument 'widht'"),
+        ({"model": {"widht": 8}}, 2, "InvalidConfig", "unknown keys ['widht']"),
         ({"optim": {"etaa": 1e-3}}, 2, "InvalidConfig", "unknown keys ['etaa']"),
         ({"stepz": 30}, 2, "InvalidConfig", "unknown keys ['stepz']"),
         ({"fit": {"k_override": 1000}}, 2, "BadK", "k_override=1000"),
         ({"plan": {"eta": 1e-2}}, 2, "InvalidConfig", "a run has one eta"),
+        ({"model": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
+        ({"data": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
+        ({"steps": 20.7}, 2, "InvalidConfig", "config.steps: expected int, got 20.7"),
+        ({"optim": {"betas": [0.9, 0.99, 0.999]}}, 2, "InvalidConfig", "optim.betas"),
+        ({"schedule": [1]}, 2, "InvalidConfig", "config.schedule: expected dict"),
+        ({"optim": {"weight_decay": math.nan}}, 2, "InvalidConfig",
+         "optim.weight_decay: expected float, got NaN"),
+        ({"optim": {"plan_cfg": {}}}, 2, "InvalidConfig",
+         "optim.plan_cfg: PlanConfig cannot be set from JSON"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -276,6 +318,21 @@ class TestTrainCommand:
         record = json.loads(capsys.readouterr().err)  # one record, nothing else
         assert record["error"] == error
         assert words in record["message"]
+
+    @pytest.mark.parametrize("section, name, value", [
+        pytest.param(section, name, value, id=f"{section}.{name}={json.dumps(value)}")
+        for section, name, value in wrongly_typed_fields()
+    ])
+    def test_every_config_field_checks_its_type(self, tmp_path, capsys, section, name, value):
+        config = small_config(steps=10)
+        config.setdefault(section, {})[name] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "InvalidConfig"
+        assert f"{section}.{name}" in record["message"]
 
     def test_diverged_run_writes_partial_outputs(self, tmp_path, capsys):
         config = small_config(steps=60)

@@ -107,6 +107,10 @@ class TestRunTraining:
         assert partial.final_loss == math.inf
         assert partial.losses.size == info.value.step
 
+    def test_mode_defaults_to_llr(self):
+        # A train config without optim.mode gets this dataclass default too.
+        assert OptimConfig().mode is TrainMode.LLR
+
     def test_steps_must_match_schedule(self):
         oc = OptimConfig(eta=1e-3, schedule_cfg=sched(STEPS))
         with pytest.raises(InvalidConfig):
