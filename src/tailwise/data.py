@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -10,6 +11,8 @@ import numpy as np
 from .errors import InvalidConfig
 
 COPY_MOTIF_LEN = 6  # random tokens per copy block header
+# Longest stream numpy can hold as one int64 (or float64 draw) array.
+MAX_LENGTH = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 class CorpusKind(Enum):
@@ -28,8 +31,8 @@ class DataConfig:
     def __post_init__(self):
         if self.vocab < 2:
             raise InvalidConfig("vocab must be >= 2")
-        if self.length < 2:
-            raise InvalidConfig("length must be >= 2")
+        if not 2 <= self.length <= MAX_LENGTH:
+            raise InvalidConfig(f"length must lie in [2, {MAX_LENGTH}]")
         if self.batch < 1:
             raise InvalidConfig("batch must be >= 1")
         if self.seed < 0:
@@ -56,19 +59,40 @@ def markov_transitions(seed: int, vocab: int) -> np.ndarray:
     return mixed / mixed.sum(axis=-1, keepdims=True)
 
 
+# Draws converted to Python floats at a time; bounds the walk's extra memory.
+WALK_CHUNK = 8192
+
+
+def markov_walk(trans: np.ndarray, a: int, b: int, draws: np.ndarray) -> np.ndarray:
+    """Tokens a, b, then one token per draw of the chain ``trans``.
+
+    Each next token is the first c with cumsum(trans[a, b])[c] >= draw,
+    which is what ``np.searchsorted`` returns. Every row's cumulative
+    total is set to exactly 1.0, so a draw in [0, 1) always names a token
+    even when the rounded row sum falls short of 1.
+    """
+    vocab = trans.shape[-1]
+    cum = np.cumsum(trans, axis=-1)
+    cum[..., -1] = 1.0
+    rows = cum.reshape(-1, vocab).tolist()
+    out = np.empty(draws.size + 2, dtype=np.int64)
+    out[0], out[1] = a, b
+    for lo in range(0, draws.size, WALK_CHUNK):
+        chunk = []
+        for d in draws[lo : lo + WALK_CHUNK].tolist():
+            c = bisect_left(rows[a * vocab + b], d)
+            chunk.append(c)
+            a, b = b, c
+        out[lo + 2 : lo + 2 + WALK_CHUNK] = chunk
+    return out
+
+
 def _gen_markov(cfg: DataConfig) -> np.ndarray:
     trans = markov_transitions(cfg.seed, cfg.vocab)
-    cum = np.cumsum(trans, axis=-1)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
-    out = np.empty(cfg.length, dtype=np.int64)
     a, b = rng.integers(0, cfg.vocab, size=2)
-    out[0], out[1] = a, b
     draws = rng.random(cfg.length)
-    for i in range(2, cfg.length):
-        c = int(np.searchsorted(cum[a, b], draws[i]))
-        out[i] = c
-        a, b = b, c
-    return out
+    return markov_walk(trans, int(a), int(b), draws[2:])
 
 
 def copy_offset(seed: int, vocab: int) -> int:

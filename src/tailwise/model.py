@@ -177,7 +177,10 @@ def _rope_bwd(dy, cos, sin):
 
 
 def _silu(x):
-    sig = 1.0 / (1.0 + np.exp(-x))
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     return x * sig, sig
 
 
@@ -192,8 +195,11 @@ def _merge_heads(x):
 
 
 def _softmax_last(x):
-    z = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return z / np.sum(z, axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place of ``x``."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=-1, keepdims=True)
+    return x
 
 
 # -- forward / backward ------------------------------------------------------
@@ -229,7 +235,10 @@ def _forward(model: Model, tokens: np.ndarray):
         qr = _rope_apply(_split_heads(xn @ p[pre + "att.q"], cfg.n_heads), cos, sin)
         kr = _rope_apply(_split_heads(xn @ p[pre + "att.k"], cfg.n_heads), cos, sin)
         vh = _split_heads(xn @ p[pre + "att.v"], cfg.n_heads)
-        att = _softmax_last(qr @ kr.swapaxes(-1, -2) * scale + mask)
+        scores = qr @ kr.swapaxes(-1, -2)
+        scores *= scale
+        scores += mask
+        att = _softmax_last(scores)
         merged = _merge_heads(att @ vh)
         x = x + merged @ p[pre + "att.o"]
 
@@ -292,8 +301,13 @@ def loss_and_grads(model: Model, tokens: np.ndarray):
         dz = dx @ p[pre + "ffn.down"].T
         grads[pre + "ffn.down"] += bc["z"].reshape(-1, cfg.ffn_dim).T @ dx.reshape(-1, d)
         dup = dz * bc["act"]
-        dact = dz * bc["up"]
-        du = dact * bc["sig"] * (1.0 + bc["u"] * (1.0 - bc["sig"]))
+        du = dz  # dz * up * sig * (1 + u * (1 - sig)), in that order
+        du *= bc["up"]
+        du *= bc["sig"]
+        rest = np.subtract(1.0, bc["sig"])
+        rest *= bc["u"]
+        rest += 1.0
+        du *= rest
         fn2 = bc["fn"].reshape(-1, d)
         grads[pre + "ffn.gate"] += fn2.T @ du.reshape(-1, cfg.ffn_dim)
         grads[pre + "ffn.up"] += fn2.T @ dup.reshape(-1, cfg.ffn_dim)
@@ -307,7 +321,9 @@ def loss_and_grads(model: Model, tokens: np.ndarray):
         dctx = _split_heads(dmerged, cfg.n_heads)
         datt = dctx @ bc["vh"].swapaxes(-1, -2)
         dvh = bc["att"].swapaxes(-1, -2) @ dctx
-        ds = bc["att"] * (datt - np.sum(datt * bc["att"], axis=-1, keepdims=True))
+        ds = datt  # ds = att * (datt - sum(datt * att))
+        ds -= np.sum(datt * bc["att"], axis=-1, keepdims=True)
+        ds *= bc["att"]
         dqr = ds @ bc["kr"] * scale
         dkr = ds.swapaxes(-1, -2) @ bc["qr"] * scale
         dq = _merge_heads(_rope_bwd(dqr, cos, sin))

@@ -297,6 +297,7 @@ class TestTrainCommand:
         ({"plan": {"eta": 1e-2}}, 2, "InvalidConfig", "a run has one eta"),
         ({"model": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
         ({"data": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
+        ({"data": {"length": 10**20}}, 2, "InvalidConfig", "length must lie in [2, "),
         ({"steps": 20.7}, 2, "InvalidConfig", "config.steps: expected int, got 20.7"),
         ({"optim": {"betas": [0.9, 0.99, 0.999]}}, 2, "InvalidConfig", "optim.betas"),
         ({"schedule": [1]}, 2, "InvalidConfig", "config.schedule: expected dict"),

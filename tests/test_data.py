@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailwise.data import (
     COPY_MOTIF_LEN,
+    MAX_LENGTH,
+    WALK_CHUNK,
     CorpusKind,
     DataConfig,
     batch_sampler,
     copy_offset,
     gen_corpus,
     markov_transitions,
+    markov_walk,
 )
 from tailwise.errors import InvalidConfig
 
@@ -26,7 +31,58 @@ def pair_stationary(trans):
     return pi.sum(axis=0)  # marginal over the newest token
 
 
+def searchsorted_markov(cfg):
+    # Reference: one np.searchsorted per token over the raw cumulative rows.
+    trans = markov_transitions(cfg.seed, cfg.vocab)
+    cum = np.cumsum(trans, axis=-1)
+    rng = np.random.default_rng([cfg.seed, 0x5EED])
+    out = np.empty(cfg.length, dtype=np.int64)
+    a, b = rng.integers(0, cfg.vocab, size=2)
+    out[0], out[1] = a, b
+    draws = rng.random(cfg.length)
+    for i in range(2, cfg.length):
+        c = int(np.searchsorted(cum[a, b], draws[i]))
+        out[i] = c
+        a, b = b, c
+    return out
+
+
+def assert_matches_reference(cfg):
+    stream = gen_corpus(cfg)
+    ref = searchsorted_markov(cfg)
+    assert stream.dtype == ref.dtype
+    np.testing.assert_array_equal(stream, ref)
+
+
+# Stream lengths on each side of the walk's chunk edges (two tokens precede the draws).
+CHUNK_EDGES = [2, 3, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, WALK_CHUNK + 2, WALK_CHUNK + 3,
+               2 * WALK_CHUNK + 1, 2 * WALK_CHUNK + 2, 2 * WALK_CHUNK + 3]
+
+
 class TestMarkov:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**16), vocab=st.integers(2, 64),
+           length=st.integers(2, 20_000))
+    @example(seed=5, vocab=64, length=20_000)
+    def test_walk_matches_searchsorted_loop(self, seed, vocab, length):
+        assert_matches_reference(DataConfig(seed=seed, length=length, vocab=vocab))
+
+    @pytest.mark.parametrize("length", CHUNK_EDGES)
+    def test_walk_matches_searchsorted_loop_at_chunk_edges(self, length):
+        assert_matches_reference(DataConfig(seed=length, length=length, vocab=7))
+
+    def test_draw_above_rounded_row_total_stays_in_vocab(self):
+        vocab = 64
+        trans = markov_transitions(0, vocab)
+        totals = np.cumsum(trans, axis=-1)[..., -1]
+        a, b = np.unravel_index(np.argmin(totals), totals.shape)
+        top = 1.0 - 2.0**-53  # the largest draw below 1
+        assert totals[a, b] < top  # the raw row would name token `vocab`
+        assert np.searchsorted(np.cumsum(trans[a, b]), top) == vocab
+        stream = markov_walk(trans, int(a), int(b), np.array([top, top, 0.5]))
+        assert stream[2] == vocab - 1
+        assert stream.min() >= 0 and stream.max() < vocab
+
     def test_deterministic(self):
         cfg = DataConfig(seed=9, length=5000, vocab=32)
         np.testing.assert_array_equal(gen_corpus(cfg), gen_corpus(cfg))
@@ -110,3 +166,5 @@ class TestBatchSampler:
             DataConfig(vocab=1)
         with pytest.raises(InvalidConfig):
             DataConfig(batch=0)
+        with pytest.raises(InvalidConfig):
+            DataConfig(length=MAX_LENGTH + 1)

@@ -143,6 +143,29 @@ class TestBackward:
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-6) <= 1e-4
 
 
+class TestStepPurity:
+    @pytest.mark.parametrize("cfg, batch", [
+        (MICRO, 2),
+        (ModelConfig(vocab=64, d_model=64, n_layers=2, n_heads=4, context=64, seed=1), 4),
+    ])
+    def test_step_leaves_inputs_and_repeats_bits(self, cfg, batch):
+        # Catches an in-place op that writes through a view of a parameter,
+        # the tokens or a cached table.
+        m = build_model(cfg)
+        tokens = np.random.default_rng(4).integers(0, cfg.vocab, size=(batch, cfg.context + 1))
+        params0 = {n: a.copy() for n, a in m.params.items()}
+        tokens0 = tokens.copy()
+        loss1, grads1 = loss_and_grads(m, tokens)
+        for name, arr in m.params.items():
+            assert arr.tobytes() == params0[name].tobytes(), name
+        np.testing.assert_array_equal(tokens, tokens0)
+        loss2, grads2 = loss_and_grads(m, tokens)
+        assert np.float64(loss1).tobytes() == np.float64(loss2).tobytes()
+        assert list(grads1) == list(grads2)
+        for name in grads1:
+            assert grads1[name].tobytes() == grads2[name].tobytes(), name
+
+
 class TestOverfit:
     def test_loss_decreases_on_repeated_batch(self):
         from tailwise.optim import adamw_step, init_moments
