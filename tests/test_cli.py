@@ -297,7 +297,6 @@ class TestTrainCommand:
         ({"plan": {"eta": 1e-2}}, 2, "InvalidConfig", "a run has one eta"),
         ({"model": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
         ({"data": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
-        ({"data": {"length": 10**20}}, 2, "InvalidConfig", "length must lie in [2, "),
         ({"steps": 20.7}, 2, "InvalidConfig", "config.steps: expected int, got 20.7"),
         ({"optim": {"betas": [0.9, 0.99, 0.999]}}, 2, "InvalidConfig", "optim.betas"),
         ({"schedule": [1]}, 2, "InvalidConfig", "config.schedule: expected dict"),
@@ -305,6 +304,7 @@ class TestTrainCommand:
          "optim.weight_decay: expected float, got NaN"),
         ({"optim": {"plan_cfg": {}}}, 2, "InvalidConfig",
          "optim.plan_cfg: PlanConfig cannot be set from JSON"),
+        ({"data": {"length": 10**20}}, 2, "InvalidConfig", "length must lie in [2, "),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
