@@ -8,6 +8,7 @@ whole trainer stays dependency-light and bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,11 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.vocab, self.d_model, self.n_layers, self.n_heads, self.context) < 1:
             raise InvalidConfig("vocab, d_model, n_layers, n_heads, context must be positive")
-        if self.ffn_mult <= 0:
-            raise InvalidConfig("ffn_mult must be positive")
+        if not 0.0 < self.ffn_mult < math.inf:
+            raise InvalidConfig("ffn_mult must be positive and finite")
+        if self.ffn_dim < 1:
+            raise InvalidConfig(f"ffn_mult {self.ffn_mult} * d_model {self.d_model} "
+                                "rounds to an empty FFN (ffn_dim 0)")
         if self.d_model % self.n_heads != 0:
             raise InvalidConfig("d_model must be divisible by n_heads")
         if (self.d_model // self.n_heads) % 2 != 0:

@@ -10,6 +10,7 @@ telemetry is recorded on the same cadence as in LLR mode.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 from dataclasses import dataclass, field
@@ -59,6 +60,10 @@ class OptimConfig:
             raise InvalidConfig("grad_clip must be positive")
         if self.eta <= 0.0:
             raise InvalidConfig("eta must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidConfig("eps must be positive and finite")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise InvalidConfig("weight_decay must be non-negative and finite")
         if self.plan_cfg is None:
             self.plan_cfg = PlanConfig(eta=self.eta)
         elif self.plan_cfg.eta != self.eta:
@@ -114,6 +119,26 @@ def _finalize(losses, timeline, history, stds, boundaries, mode, diverged):
     return TrainRun(arr, timeline, history, stds, boundaries, final, mode, diverged)
 
 
+def _keep_heap() -> None:
+    """Have malloc keep freed memory for the next step instead of unmapping it.
+
+    Every step allocates the same large temporaries. By default glibc maps
+    each one above its mmap threshold afresh, faults it in as zeroed pages
+    and unmaps it on free, and trims freed memory at the top of the heap.
+    Raising both thresholds lets the next step reuse those pages; the
+    setting holds for the rest of the process. Nothing computed changes.
+    Does nothing where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's largest allowed value
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def run_training(
     model_cfg: ModelConfig,
     opt_cfg: OptimConfig,
@@ -140,6 +165,7 @@ def run_training(
     else:
         plan_cfg = PlanConfig(eta=opt_cfg.eta, s=1.0)
 
+    _keep_heap()
     model = build_model(model_cfg)
     stream = gen_corpus(data_cfg)
     batches = batch_sampler(data_cfg, stream, model_cfg.context + 1)

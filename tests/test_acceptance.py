@@ -9,6 +9,7 @@ the tests that use it after the rest of the suite.
 import json
 import math
 import os
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -105,13 +106,18 @@ def study_in_workers(jobs):
 def directional_study():
     # The nine runs are independent and seeded, so they train side by side.
     jobs = [(seed, arm) for seed in STUDY_SEEDS for arm in STUDY_ARMS]
+    # Wall time and the workers' CPU seconds, so parallel training is not
+    # mistaken for a faster step.
     t0 = time.time()
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     results = study_in_workers(jobs)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     elapsed = time.time() - t0
+    cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     runs = {seed: {} for seed in STUDY_SEEDS}
     for (seed, arm), run in zip(jobs, results):
         runs[seed][arm] = run
-    return runs, elapsed
+    return runs, elapsed, cpu
 
 
 def test_study_workers_match_in_process():
@@ -310,17 +316,18 @@ def test_c08_gradient_check():
 
 
 def test_c09_directional_training_result(directional_study):
-    runs, elapsed = directional_study
+    runs, elapsed, cpu = directional_study
     mean = lambda arm: float(np.mean([runs[s][arm].final_loss for s in STUDY_SEEDS]))
     u, l, i = mean("uniform"), mean("llr"), mean("inv")
     ok = l <= u <= i and elapsed <= STUDY_BUDGET_SECONDS
     verdict(9, ok, f"mean final loss over {len(STUDY_SEEDS)} seeds: "
             f"layerwise {l:.4f} <= uniform {u:.4f} <= inverted {i:.4f}; "
-            f"study took {elapsed:.0f}s (budget {STUDY_BUDGET_SECONDS:.0f}s)")
+            f"study took {elapsed:.0f}s wall, {cpu:.0f}s CPU in its workers "
+            f"(budget {STUDY_BUDGET_SECONDS:.0f}s wall)")
 
 
 def test_c10_alpha_spread_direction(directional_study):
-    runs, _ = directional_study
+    runs, _, _ = directional_study
     wins = 0
     details = []
     for seed in STUDY_SEEDS:

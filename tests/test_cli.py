@@ -305,6 +305,9 @@ class TestTrainCommand:
         ({"optim": {"plan_cfg": {}}}, 2, "InvalidConfig",
          "optim.plan_cfg: PlanConfig cannot be set from JSON"),
         ({"data": {"length": 10**20}}, 2, "InvalidConfig", "length must lie in [2, "),
+        ({"optim": {"eps": 0.0}}, 2, "InvalidConfig", "eps must be positive"),
+        ({"optim": {"weight_decay": -1.0}}, 2, "InvalidConfig", "weight_decay must be non-negative"),
+        ({"model": {"d_model": 16, "ffn_mult": 0.01}}, 2, "InvalidConfig", "empty FFN"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)

@@ -51,6 +51,9 @@ class TestBuildModel:
             ModelConfig(d_model=65, n_heads=4)
         with pytest.raises(InvalidConfig):
             ModelConfig(dtype="f16")
+        for ffn_mult in (float("inf"), float("nan")):
+            with pytest.raises(InvalidConfig):
+                ModelConfig(ffn_mult=ffn_mult)
 
 
 class TestForward:

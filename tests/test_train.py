@@ -1,8 +1,11 @@
+import ctypes
 import math
+import resource
 
 import numpy as np
 import pytest
 
+import tailwise.train
 from tailwise.allocate import PlanConfig
 from tailwise.data import DataConfig
 from tailwise.errors import DivergedLoss, InvalidConfig
@@ -111,6 +114,13 @@ class TestRunTraining:
         # A train config without optim.mode gets this dataclass default too.
         assert OptimConfig().mode is TrainMode.LLR
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", math.inf), ("eps", math.nan), ("weight_decay", math.inf)])
+    def test_non_finite_optimizer_numbers(self, field, value):
+        # Only Python callers can pass these: the JSON reader takes finite numbers.
+        with pytest.raises(InvalidConfig):
+            OptimConfig(**{field: value})
+
     def test_steps_must_match_schedule(self):
         oc = OptimConfig(eta=1e-3, schedule_cfg=sched(STEPS))
         with pytest.raises(InvalidConfig):
@@ -144,3 +154,49 @@ class TestTrustRatioModes:
         for kind in (OptimizerKind.ADAMW_LARS, OptimizerKind.ADAMW_LAMB):
             r = run(TrainMode.UNIFORM, steps=40, optimizer=kind)
             assert np.all(np.isfinite(r.losses))
+
+
+def has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_steps_take_no_fresh_pages(self, monkeypatch):
+        # Without the heap policy each step maps its temporaries afresh:
+        # about 3000 minor page faults per step at this shape.
+        steps, first = 40, 5
+        faults = []  # minor page faults taken before each step
+        real = tailwise.train.loss_and_grads
+
+        def counted(model, batch):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return real(model, batch)
+
+        monkeypatch.setattr(tailwise.train, "loss_and_grads", counted)
+        oc = OptimConfig(eta=3e-3, schedule_cfg=ScheduleConfig(
+            t_max=steps, warmup_steps=4, recompute_interval=20, t_switch=10))
+        # The acceptance study's shape (d64, 2 layers, batch 16, context 64).
+        run_training(ModelConfig(seed=0), oc, DataConfig(seed=0, length=20_000), steps)
+        end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        per_step = (end - faults[first]) / (steps - first)
+        assert per_step < 300, f"{per_step:.0f} minor page faults per step"
+
+    def test_trains_the_same_without_mallopt(self, monkeypatch):
+        oc = OptimConfig(eta=2e-3, schedule_cfg=sched(40))
+        expected = run_training(MODEL, oc, DATA, 40)
+        lookups = []
+
+        def no_libc(name, *args, **kwargs):
+            lookups.append(name)
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        got = run_training(MODEL, oc, DATA, 40)
+        assert lookups == [None]
+        np.testing.assert_array_equal(got.losses, expected.losses)
+        assert got.lr_timeline == expected.lr_timeline
