@@ -44,10 +44,12 @@ class PlanConfig:
     embedding_override: bool = True
 
     def __post_init__(self):
-        if not (self.eta > 0.0):
-            raise InvalidConfig(f"eta must be positive, got {self.eta}")
-        if not (self.s >= 1.0):
-            raise InvalidConfig(f"s must be >= 1, got {self.s}")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidConfig(f"eta must be positive and finite, got {self.eta}")
+        if not 1.0 <= self.s < math.inf:
+            raise InvalidConfig(f"s must be >= 1 and finite, got {self.s}")
+        if not math.isfinite(self.s * self.eta):
+            raise InvalidConfig(f"s * eta must be finite, got {self.s} * {self.eta}")
 
 
 @dataclass

@@ -31,16 +31,19 @@ from .reports import (
     sweep_plan,
     timeline_csv,
 )
-from .schedule import BaseSchedule, ScheduleConfig, ScheduleState, SwitchMode, lrs_at, on_step
+from .schedule import BaseSchedule, ScheduleConfig, base_lr_at
 from .tailfit import FitConfig, FitMethod
-from .train import OptimConfig, TrainRun, run_training, sweep_summaries
+from .train import OptimConfig, TrainRun, run_training
 
 
-def _write(out: str | None, text: str) -> None:
+def _write(out: str | Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_bytes(text.encode())
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {out}: {exc}") from exc
 
 
 def _fit_config(args) -> FitConfig:
@@ -87,7 +90,6 @@ def cmd_plan(args) -> int:
 
 def cmd_schedule(args) -> int:
     matrices = load_manifest(args.manifest)
-    fit_cfg = _fit_config(args)
     plan_cfg = _plan_config(args)
     cfg = ScheduleConfig(
         t_max=args.steps,
@@ -97,19 +99,13 @@ def cmd_schedule(args) -> int:
         recompute_interval=args.interval,
         t_switch=args.switch,
         active_fraction=args.active,
-        switch_mode=SwitchMode(args.switch_mode),
     )
-    # Alphas are frozen from the manifest: every recompute sees the same fit.
-    summaries, _ = sweep_summaries(matrices, fit_cfg)
-    alphas = [(s.layer_name, s.alpha) for s in summaries]
-    roles = {w.name: w.role for w in matrices}
-    names = [w.name for w in matrices]
-    rows = []
-    state = ScheduleState()
-    for t in range(args.steps):
-        state = on_step(state, cfg, lambda _t: alphas, plan_cfg, roles, t)
-        lrs = lrs_at(state, cfg, plan_cfg.eta, names, t)
-        rows.extend((t, name, lrs[name]) for name in names)
+    # Alphas are frozen from the manifest, so every recompute would rebuild
+    # this plan, and an unchanged plan follows the base schedule at its peak.
+    _, _, plan = sweep_plan(matrices, _fit_config(args), plan_cfg)
+    peaks = [(w.name, plan.base_lr(w.name) if plan is not None and w.name in plan
+              else plan_cfg.eta) for w in matrices]
+    rows = [(t, name, base_lr_at(cfg, peak, t)) for t in range(args.steps) for name, peak in peaks]
     _write(args.out, timeline_csv(rows))
     return 0
 
@@ -128,8 +124,8 @@ class TrainFile:
 
 
 def _write_run(out_dir: Path, run: TrainRun) -> None:
-    (out_dir / "summary.json").write_bytes(render_document(run_summary(run)).encode())
-    (out_dir / "timeline.csv").write_bytes(timeline_csv(run.lr_timeline).encode())
+    _write(out_dir / "summary.json", render_document(run_summary(run)))
+    _write(out_dir / "timeline.csv", timeline_csv(run.lr_timeline))
 
 
 def cmd_train(args) -> int:
@@ -151,7 +147,10 @@ def cmd_train(args) -> int:
     )
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {out_dir}: {exc}") from exc
     try:
         # Overflow on the way to a diverged loss is reported by DivergedLoss.
         with np.errstate(all="ignore"):
@@ -183,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("schedule", help="timeline CSV for a hypothetical run (frozen alphas)",
-                       description="Alphas are frozen from the manifest, so every recompute "
-                       "rebuilds the same plan: --interval, --switch, --active and --switch-mode "
+                       description="Alphas are frozen from the manifest, so one plan holds for "
+                       "the whole run: each layer's LR is its plan LR (eta for a layer left out "
+                       "of the plan) times the base schedule. --interval, --switch and --active "
                        "are checked but do not change the CSV.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=[b.value for b in BaseSchedule], default="cosine")
     p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--min-lr-fraction", type=float, default=0.0)
-    p.add_argument("--switch-mode", choices=[m.value for m in SwitchMode], default="soft")
     _add_fit_flags(p)
     _add_plan_flags(p, eta_required=True)
     p.add_argument("--out", default=None)

@@ -169,17 +169,6 @@ def _rope_apply(x, cos, sin):
     return out
 
 
-def _rope_bwd(dy, cos, sin):
-    # The rotation is orthogonal: the adjoint is the inverse rotation.
-    c = cos[None, None, :, :]
-    s = sin[None, None, :, :]
-    dy1, dy2 = dy[..., 0::2], dy[..., 1::2]
-    out = np.empty_like(dy)
-    out[..., 0::2] = dy1 * c + dy2 * s
-    out[..., 1::2] = -dy1 * s + dy2 * c
-    return out
-
-
 def _silu(x):
     sig = np.negative(x)
     np.exp(sig, out=sig)
@@ -296,7 +285,8 @@ def loss_and_grads(model: Model, tokens: np.ndarray):
     dh = dlogits @ c["head"]
     dx, grads["final_norm"] = _rmsnorm_bwd(dh, c["ncf"])
 
-    cos, sin, scale = c["cos"], c["sin"], c["scale"]
+    # The rotation is orthogonal: its adjoint rotates by the negated angle.
+    cos, back_sin, scale = c["cos"], -c["sin"], c["scale"]
     for i in reversed(range(cfg.n_layers)):
         pre = f"blocks.{i}."
         bc = c["blocks"][i]
@@ -330,8 +320,8 @@ def loss_and_grads(model: Model, tokens: np.ndarray):
         ds *= bc["att"]
         dqr = ds @ bc["kr"] * scale
         dkr = ds.swapaxes(-1, -2) @ bc["qr"] * scale
-        dq = _merge_heads(_rope_bwd(dqr, cos, sin))
-        dk = _merge_heads(_rope_bwd(dkr, cos, sin))
+        dq = _merge_heads(_rope_apply(dqr, cos, back_sin))
+        dk = _merge_heads(_rope_apply(dkr, cos, back_sin))
         dv = _merge_heads(dvh)
         xn2 = bc["xn"].reshape(-1, d)
         grads[pre + "att.q"] += xn2.T @ dq.reshape(-1, d)

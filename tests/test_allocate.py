@@ -189,6 +189,11 @@ class TestPlanLookup:
             PlanConfig(eta=0.0)
         with pytest.raises(InvalidConfig):
             PlanConfig(eta=1e-3, s=0.5)
+        # Non-finite bounds: inf or nan eta or s, and an s * eta past the float range.
+        for eta, s in [(math.inf, 5.0), (math.nan, 5.0), (1e-3, math.inf), (1e-3, math.nan),
+                       (1e308, 5.0)]:
+            with pytest.raises(InvalidConfig):
+                PlanConfig(eta=eta, s=s)
 
 
 class TestTrustRatio:

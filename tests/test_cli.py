@@ -7,17 +7,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailwise.allocate import PlanConfig
+from tailwise.allocate import Assignment, PlanConfig
 from tailwise.cli import main
 from tailwise.data import DataConfig
 from tailwise.manifest import save_manifest
 from tailwise.model import ModelConfig
 from tailwise.reports import analysis_report, dumps, format_float, timeline_csv
-from tailwise.schedule import ScheduleConfig, base_lr_at
+from tailwise.schedule import (
+    BaseSchedule,
+    ScheduleConfig,
+    ScheduleState,
+    SwitchMode,
+    base_lr_at,
+    lrs_at,
+    on_step,
+)
 from tailwise.spectral import LayerRole, WeightMatrix
 from tailwise.tailfit import FitConfig, summarize
-from tailwise.train import OptimConfig
+from tailwise.train import OptimConfig, sweep_summaries
 
 
 def demo_manifest(tmp_path, seed=0):
@@ -200,7 +210,78 @@ class TestPlanCommand:
         assert lrs["output_head"] == 5e-3
 
 
+def replay_schedule(matrices, plan_cfg: PlanConfig, cfg: ScheduleConfig) -> str:
+    """The timeline CSV as the trainer's recompute machine gives it over frozen alphas."""
+    summaries, _ = sweep_summaries(matrices, FitConfig())
+    alphas = [(s.layer_name, s.alpha) for s in summaries]
+    roles = {w.name: w.role for w in matrices}
+    names = [w.name for w in matrices]
+    rows, state = [], ScheduleState()
+    for t in range(cfg.t_max):
+        state = on_step(state, cfg, lambda _t: alphas, plan_cfg, roles, t)
+        lrs = lrs_at(state, cfg, plan_cfg.eta, names, t)
+        rows.extend((t, name, lrs[name]) for name in names)
+    return timeline_csv(rows)
+
+
+@pytest.fixture(scope="module")
+def unfittable_manifest(tmp_path_factory):
+    """A manifest whose 2x3 layer has too few eigenvalues to fit."""
+    tmp = tmp_path_factory.mktemp("schedule")
+    rng = np.random.default_rng(5)
+    mats = [
+        WeightMatrix("embed", LayerRole.EMBEDDING, rng.standard_normal((24, 16))),
+        WeightMatrix("tiny", LayerRole.ATT_Q, rng.standard_normal((2, 3))),
+        WeightMatrix("blocks.0.att.k", LayerRole.ATT_K, rng.standard_normal((16, 16))),
+        WeightMatrix("blocks.0.ffn.up", LayerRole.FFN_UP, rng.standard_normal((16, 48))),
+    ]
+    summaries, excluded = sweep_summaries(mats, FitConfig())
+    assert list(excluded) == ["tiny"]
+    assert all(s.alpha > 1.0 for s in summaries)  # every assignment can plan over them
+    return save_manifest(tmp, mats), mats, tmp / "t.csv"
+
+
+@st.composite
+def schedule_flags(draw):
+    """Valid `tailwise schedule` flags, with the ScheduleConfig and PlanConfig they stand for."""
+    steps = draw(st.integers(1, 60))
+    interval = draw(st.none() | st.integers(1, steps))
+    switch = draw(st.none() | st.integers(1, min(100, steps) if interval is None else interval))
+    kw = dict(t_max=steps, recompute_interval=interval, t_switch=switch,
+              active_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+              base=draw(st.sampled_from(BaseSchedule)),
+              warmup_steps=draw(st.integers(0, steps - 1)),
+              min_lr_fraction=draw(st.floats(0.0, 1.0)))
+    plan_cfg = PlanConfig(eta=1e-3, s=draw(st.floats(1.0, 8.0)),
+                          assignment=draw(st.sampled_from(Assignment)),
+                          embedding_override=draw(st.booleans()))
+    flags = ["--steps", str(steps), "--active", repr(kw["active_fraction"]),
+             "--base", kw["base"].value, "--warmup", str(kw["warmup_steps"]),
+             "--min-lr-fraction", repr(kw["min_lr_fraction"]),
+             "--eta", repr(plan_cfg.eta), "--s", repr(plan_cfg.s),
+             "--assignment", plan_cfg.assignment.value]
+    if interval is not None:
+        flags += ["--interval", str(interval)]
+    if switch is not None:
+        flags += ["--switch", str(switch)]
+    if not plan_cfg.embedding_override:
+        flags.append("--no-embedding-override")
+    return flags, kw, plan_cfg
+
+
 class TestScheduleCommand:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn=schedule_flags())
+    def test_matches_the_recompute_replay(self, unfittable_manifest, drawn):
+        # Frozen alphas rebuild the same plan at every recompute, so the
+        # trainer's machine, soft or hard, gives the command's bytes.
+        manifest, mats, out = unfittable_manifest
+        flags, kw, plan_cfg = drawn
+        assert main(["schedule", "--manifest", str(manifest), *flags, "--out", str(out)]) == 0
+        got = out.read_text()
+        for mode in SwitchMode:
+            assert got == replay_schedule(mats, plan_cfg, ScheduleConfig(switch_mode=mode, **kw))
+
     def test_s1_single_lr_per_step(self, tmp_path):
         manifest, _ = demo_manifest(tmp_path)
         out = tmp_path / "t.csv"
@@ -308,6 +389,7 @@ class TestTrainCommand:
         ({"optim": {"eps": 0.0}}, 2, "InvalidConfig", "eps must be positive"),
         ({"optim": {"weight_decay": -1.0}}, 2, "InvalidConfig", "weight_decay must be non-negative"),
         ({"model": {"d_model": 16, "ffn_mult": 0.01}}, 2, "InvalidConfig", "empty FFN"),
+        ({"optim": {"eta": 1e308}}, 2, "InvalidConfig", "s * eta must be finite"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -408,6 +490,24 @@ class TestTrainCommand:
         assert [r["step"] for r in summary["recomputes"]] == [0, 55]
         rows = (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == 100 * 9
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "schedule", "train"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        manifest, _ = demo_manifest(tmp_path)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(small_config(steps=10)))
+        plan = ["--manifest", str(manifest), "--eta", "1e-3"]
+        out, argv = {
+            "analyze": (tmp_path, ["analyze", *plan]),  # a directory
+            "plan": (tmp_path / "missing" / "p.json", ["plan", *plan]),
+            "schedule": (tmp_path / "missing" / "t.csv", ["schedule", *plan, "--steps", "10"]),
+            "train": (cfg_path, ["train", "--config", str(cfg_path)]),  # an existing file
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "InvalidConfig"
+        assert f"cannot write {out}" in record["message"]
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,4 +1,5 @@
 import ctypes
+import importlib
 import math
 import resource
 
@@ -200,3 +201,26 @@ class TestHeapPolicy:
         assert lookups == [None]
         np.testing.assert_array_equal(got.losses, expected.losses)
         assert got.lr_timeline == expected.lr_timeline
+
+
+class TestBenchmarkMarkSites:
+    def test_mark_sites_resolve_and_fire_in_order(self, monkeypatch):
+        # perfbench/launch.py times setup and the first step by patching these
+        # module globals, so each must exist and be looked up at call time.
+        for module, name in [("tailwise.train", "on_step"), ("tailwise.train", "loss_and_grads"),
+                             ("tailwise.train", "batch_sampler"),
+                             ("tailwise.train", "sweep_summaries"),
+                             ("tailwise.cli", "load_manifest"), ("tailwise.cli", "run_training"),
+                             ("tailwise.tailfit", "esd")]:
+            assert callable(getattr(importlib.import_module(module), name)), f"{module}.{name}"
+
+        calls = []
+        for name in ("on_step", "sweep_summaries", "loss_and_grads"):
+            def record(*args, _name=name, _real=getattr(tailwise.train, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(tailwise.train, name, record)
+        run_training(MODEL, OptimConfig(), DATA, 2)
+        assert calls[0] == "on_step"
+        assert calls.index("sweep_summaries") < calls.index("loss_and_grads")
