@@ -8,12 +8,11 @@ from .allocate import (
     build_plan,
     linear_map,
     mean_normalized_map,
-    trust_ratio_lr,
 )
 from .data import CorpusKind, DataConfig, gen_corpus
 from .manifest import load_manifest, save_manifest
 from .model import Model, ModelConfig, build_model, forward_loss, loss_and_grads
-from .optim import OptimizerKind, adamw_step, clip_gradients, init_moments
+from .optim import OptimizerKind, adamw_step, clip_gradients, init_moments, trust_ratio_lr
 from .schedule import (
     BaseSchedule,
     ScheduleConfig,

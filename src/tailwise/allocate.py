@@ -9,10 +9,6 @@ under-trained layers) get the large rates. Ablation variants: the inverse
 projection, and mean-normalized sqrt/log2 maps (unbounded by construction).
 Embedding and output-head layers are pinned to the plan's upper bound
 unless the override is disabled.
-
-Trust-ratio learning rates (weight norm over a gradient or update norm,
-see optim.py) are the comparison baselines; they share the "per-layer LR"
-output shape.
 """
 
 from __future__ import annotations
@@ -158,14 +154,3 @@ def build_plan(alphas: AlphaList, roles: RoleMap, cfg: PlanConfig, step: int = 0
     else:
         plan = mean_normalized_map(alphas, cfg, step)
     return apply_embedding_override(plan, roles, cfg)
-
-
-def trust_ratio_lr(weight_norm: float, denom_norm: float, eta: float) -> float:
-    """eta scaled by the trust ratio ||w|| / denom_norm.
-
-    The ratio is defined as 1 whenever either side of it vanishes. The
-    caller picks the denominator (LARS: ||g|| + wd * ||w||; LAMB: the
-    adaptive update's norm) and any clip of the ratio.
-    """
-    ratio = 1.0 if (weight_norm == 0.0 or denom_norm == 0.0) else weight_norm / denom_norm
-    return eta * ratio

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage or bad configuration, 3 data error,
 4 numerical failure (any other tailwise error too). Errors are also
 emitted as one JSON record on stderr so callers can parse failures.
-A diverged training run still writes its partial outputs before exiting 4.
+A diverged training run writes its outputs up to the diverged step, then exits 4.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -20,7 +20,7 @@ import numpy as np
 from .allocate import Assignment, PlanConfig
 from .data import DataConfig
 from .errors import DataError, DivergedLoss, EmptyInput, InvalidConfig, ParseError, TailwiseError
-from .fromjson import from_json
+from .fromjson import from_json, read_json
 from .manifest import load_manifest
 from .model import ModelConfig
 from .reports import (
@@ -33,7 +33,7 @@ from .reports import (
 )
 from .schedule import BaseSchedule, ScheduleConfig, base_lr_at
 from .tailfit import FitConfig, FitMethod
-from .train import OptimConfig, TrainRun, run_training
+from .train import OptimConfig, run_training
 
 
 def _write(out: str | Path | None, text: str) -> None:
@@ -123,42 +123,32 @@ class TrainFile:
     fit: dict = field(default_factory=dict)
 
 
-def _write_run(out_dir: Path, run: TrainRun) -> None:
-    _write(out_dir / "summary.json", render_document(run_summary(run)))
-    _write(out_dir / "timeline.csv", timeline_csv(run.lr_timeline))
-
-
 def cmd_train(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{args.config}: {exc}") from exc
+    doc = read_json(args.config, ParseError)
     read = partial(from_json, error=InvalidConfig)
     top = read(TrainFile, doc, "config")
     model_cfg = read(ModelConfig, top.model, "model")
     data_cfg = read(DataConfig, top.data, "data", vocab=model_cfg.vocab)
     opt_cfg = read(OptimConfig, top.optim, "optim")
-    opt_cfg = replace(
-        opt_cfg,
-        plan_cfg=read(PlanConfig, top.plan, "plan", eta=opt_cfg.eta),
-        schedule_cfg=read(ScheduleConfig, top.schedule, "schedule",
-                          t_max=top.steps, warmup_steps=top.steps // 10),
-        fit_cfg=read(FitConfig, top.fit, "fit"),
-    )
+    plan_cfg = read(PlanConfig, top.plan, "plan", eta=opt_cfg.eta)
+    sched_cfg = read(ScheduleConfig, top.schedule, "schedule",
+                     t_max=top.steps, warmup_steps=top.steps // 10)
+    fit_cfg = read(FitConfig, top.fit, "fit")
+    if sched_cfg.t_max != top.steps:
+        raise InvalidConfig(f"schedule t_max {sched_cfg.t_max} != steps {top.steps}")
 
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidConfig(f"cannot write {out_dir}: {exc}") from exc
-    try:
-        # Overflow on the way to a diverged loss is reported by DivergedLoss.
-        with np.errstate(all="ignore"):
-            run = run_training(model_cfg, opt_cfg, data_cfg, top.steps)
-    except DivergedLoss as exc:
-        _write_run(out_dir, exc.partial)
-        raise
-    _write_run(out_dir, run)
+    # Overflow on the way to a diverged loss is reported by DivergedLoss.
+    with np.errstate(all="ignore"):
+        run = run_training(model_cfg, opt_cfg, data_cfg, plan_cfg, sched_cfg, fit_cfg)
+    _write(out_dir / "summary.json", render_document(run_summary(run)))
+    _write(out_dir / "timeline.csv", timeline_csv(run.lr_timeline))
+    if run.diverged:
+        raise DivergedLoss(run.losses.size)
     return 0
 
 
@@ -221,7 +211,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         sys.stderr.write(_error_record(exc))
         return 3
-    except (TailwiseError, ValueError, ArithmeticError) as exc:
+    except (TailwiseError, ValueError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(_error_record(exc))
         return 4
 

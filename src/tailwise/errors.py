@@ -33,10 +33,6 @@ class NonFiniteInput(NumericalError):
     pass
 
 
-class NotAMatrix(DataError):
-    """Spectral analysis requested for a 1-D (non-matrix) parameter."""
-
-
 # -- tail fitting ----------------------------------------------------------
 
 class BadK(InvalidConfig):
@@ -90,12 +86,14 @@ class ShapeMismatch(TailwiseError):
 
 
 class DivergedLoss(NumericalError):
-    """Training loss became non-finite; carries the partial telemetry."""
+    """Training loss became non-finite at ``step``.
 
-    def __init__(self, step: int, partial=None):
+    Only the train command raises it, after writing the run's outputs:
+    run_training returns a diverged run instead.
+    """
+
+    def __init__(self, step: int):
         super().__init__(f"loss became non-finite at step {step}")
-        self.step = step
-        self.partial = partial
 
 
 # -- manifests -------------------------------------------------------------

@@ -7,6 +7,7 @@ a dict an object; an Enum one of its values; tuple[X, Y] a list of two
 entries read as X and Y; X | None also null. No other type can be set
 from JSON. A key that names no init field, or a missing field that has no
 default, is an error too. Every error is the caller's class and names the field.
+``read_json`` reads the document itself from a file.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ import types
 import typing
 from dataclasses import MISSING, fields
 from enum import Enum
+from pathlib import Path
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 (or UTF-16/32) JSON, or nests
+    too deep to parse raises ``error`` naming ``path``.
+    """
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def read_value(tp, value, name: str, error: type[Exception]):

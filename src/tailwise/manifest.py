@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ByteRangeError, ParseError
-from .fromjson import from_json, read_value
+from .fromjson import from_json, read_json, read_value
 from .spectral import LayerRole, WeightMatrix
 
 log = logging.getLogger(__name__)
@@ -50,10 +50,7 @@ def _parse_layer(entry, index: int) -> ManifestLayer:
 
 def parse_manifest(path: str | Path) -> list[ManifestLayer]:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    doc = read_json(path, ParseError)
     if (not isinstance(doc, dict)
             or read_value(int, doc.get("version"), f"{path}: version", ParseError)
             != MANIFEST_VERSION):

@@ -14,7 +14,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocate import trust_ratio_lr
 from .errors import ShapeMismatch
 
 # Upper clip of the LAMB trust ratio ||w|| / ||update||.
@@ -25,6 +24,17 @@ class OptimizerKind(Enum):
     ADAMW = "adamw"
     ADAMW_LARS = "adamw-lars"
     ADAMW_LAMB = "adamw-lamb"
+
+
+def trust_ratio_lr(weight_norm: float, denom_norm: float, eta: float) -> float:
+    """eta scaled by the trust ratio ||w|| / denom_norm.
+
+    The ratio is defined as 1 whenever either side of it vanishes. The
+    caller picks the denominator (LARS: ||g|| + wd * ||w||; LAMB: the
+    adaptive update's norm) and any clip of the ratio.
+    """
+    ratio = 1.0 if (weight_norm == 0.0 or denom_norm == 0.0) else weight_norm / denom_norm
+    return eta * ratio
 
 
 def init_moments(params: Mapping[str, np.ndarray]) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotAMatrix
+from .errors import NonFiniteInput
 
 
 class LayerRole(Enum):
@@ -42,10 +42,10 @@ PINNED_ROLES = frozenset({LayerRole.EMBEDDING, LayerRole.OUTPUT_HEAD})
 
 @dataclass
 class WeightMatrix:
-    """A named real matrix with a layer-role tag.
+    """A named real 2-D matrix with a layer-role tag.
 
-    ``values`` is 2-D for matrix roles and 1-D for NON_MATRIX parameters
-    (biases, norm gains), which are excluded from spectral analysis.
+    NON_MATRIX parameters (norm gains) have no spectrum and are never
+    WeightMatrix values.
     """
 
     name: str
@@ -55,9 +55,8 @@ class WeightMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.role is LayerRole.NON_MATRIX:
-            if self.values.ndim != 1:
-                raise ValueError(f"{self.name}: NON_MATRIX parameters must be 1-D")
-        elif self.values.ndim != 2:
+            raise ValueError(f"{self.name}: a WeightMatrix cannot have role NON_MATRIX")
+        if self.values.ndim != 2:
             raise ValueError(f"{self.name}: expected a 2-D array, got ndim={self.values.ndim}")
         if self.values.size == 0:
             raise ValueError(f"{self.name}: empty parameter")
@@ -68,14 +67,7 @@ class WeightMatrix:
 
     @property
     def cols(self) -> int:
-        return self.values.shape[1] if self.values.ndim == 2 else 1
-
-
-def _check_matrix(w: WeightMatrix) -> None:
-    if w.role is LayerRole.NON_MATRIX:
-        raise NotAMatrix(f"{w.name}: role NON_MATRIX has no spectrum")
-    if not np.isfinite(w.values).all():
-        raise NonFiniteInput(f"{w.name}: matrix contains NaN or Inf")
+        return self.values.shape[1]
 
 
 def esd(w: WeightMatrix) -> np.ndarray:
@@ -84,7 +76,8 @@ def esd(w: WeightMatrix) -> np.ndarray:
     Length min(rows, cols); entries at or below the Gram rounding floor
     max(rows, cols) * eps * lambda_max are 0.0.
     """
-    _check_matrix(w)
+    if not np.isfinite(w.values).all():
+        raise NonFiniteInput(f"{w.name}: matrix contains NaN or Inf")
     m = w.values
     gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
     eigs = np.linalg.eigvalsh(gram)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocate import PlanConfig
 from .data import DataConfig, batch_sampler, gen_corpus
-from .errors import DataError, DivergedLoss, InvalidConfig, NumericalError
+from .errors import DataError, InvalidConfig, NumericalError
 from .model import ModelConfig, build_model, loss_and_grads
 from .optim import OptimizerKind, adamw_step, init_moments
 from .schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
@@ -49,40 +49,45 @@ class OptimConfig:
     weight_decay: float = 0.1
     grad_clip: float = 1.0
     mode: TrainMode = TrainMode.LLR
-    plan_cfg: PlanConfig | None = None
-    schedule_cfg: ScheduleConfig | None = None
-    fit_cfg: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if not (0.0 < self.betas[0] < 1.0 and 0.0 < self.betas[1] < 1.0):
             raise InvalidConfig("betas must lie in (0, 1)")
-        if self.grad_clip <= 0.0:
-            raise InvalidConfig("grad_clip must be positive")
-        if self.eta <= 0.0:
-            raise InvalidConfig("eta must be positive")
+        if not 0.0 < self.grad_clip < math.inf:
+            raise InvalidConfig("grad_clip must be positive and finite")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidConfig("eta must be positive and finite")
         if not 0.0 < self.eps < math.inf:
             raise InvalidConfig("eps must be positive and finite")
         if not 0.0 <= self.weight_decay < math.inf:
             raise InvalidConfig("weight_decay must be non-negative and finite")
-        if self.plan_cfg is None:
-            self.plan_cfg = PlanConfig(eta=self.eta)
-        elif self.plan_cfg.eta != self.eta:
-            raise InvalidConfig(f"plan eta {self.plan_cfg.eta} != optim eta {self.eta}: "
-                                "a run has one eta")
 
 
 @dataclass
 class TrainRun:
-    """Step-by-step telemetry of one training run."""
+    """Step-by-step telemetry of one training run, complete or diverged.
+
+    A diverged run holds every step up to the first non-finite loss: the
+    losses before it, and the LRs and sweeps of that step too.
+    """
 
     losses: np.ndarray
     lr_timeline: list[tuple[int, str, float]]
     alpha_history: list[list[SpectralSummary]]
-    alpha_std_history: list[float]
     recompute_steps: list[int]
-    final_loss: float
     mode: TrainMode
-    diverged: bool = False
+    diverged: bool
+
+    @property
+    def alpha_std_history(self) -> list[float]:
+        return [alpha_std(summaries) for summaries in self.alpha_history]
+
+    @property
+    def final_loss(self) -> float:
+        """Mean of the last FINAL_LOSS_WINDOW losses; inf for a diverged or empty run."""
+        if self.diverged or self.losses.size == 0:
+            return math.inf
+        return float(self.losses[-FINAL_LOSS_WINDOW:].mean())
 
 
 def sweep_summaries(
@@ -91,7 +96,7 @@ def sweep_summaries(
     """Spectral summaries of the fittable matrices, in input order.
 
     A matrix whose spectrum cannot be fitted (too few positive eigenvalues,
-    not a matrix, non-finite entries) is excluded: it is returned by name
+    non-finite entries) is excluded: it is returned by name
     with its error text, is left out of every plan, and follows the global
     schedule at eta. InvalidConfig propagates.
     """
@@ -108,15 +113,6 @@ def sweep_summaries(
 def alpha_std(summaries: list[SpectralSummary]) -> float:
     finite = [s.alpha for s in summaries if math.isfinite(s.alpha)]
     return float(np.std(finite)) if finite else math.nan
-
-
-def _finalize(losses, timeline, history, stds, boundaries, mode, diverged):
-    arr = np.asarray(losses)
-    if diverged or arr.size == 0:
-        final = math.inf
-    else:
-        final = float(arr[-min(FINAL_LOSS_WINDOW, arr.size):].mean())
-    return TrainRun(arr, timeline, history, stds, boundaries, final, mode, diverged)
 
 
 def _keep_heap() -> None:
@@ -143,26 +139,22 @@ def run_training(
     model_cfg: ModelConfig,
     opt_cfg: OptimConfig,
     data_cfg: DataConfig,
-    steps: int,
+    plan_cfg: PlanConfig,
+    sched_cfg: ScheduleConfig,
+    fit_cfg: FitConfig = FitConfig(),
 ) -> TrainRun:
-    """Train for ``steps`` optimizer steps and return the telemetry.
+    """Train for ``sched_cfg.t_max`` optimizer steps and return the telemetry.
 
-    Raises DivergedLoss (with the partial TrainRun attached) if the loss
-    becomes non-finite.
+    A non-finite loss stops the loop: the run returned then has ``diverged``
+    set and holds what was recorded up to that step.
     """
-    if steps < 1:
-        raise InvalidConfig("steps must be positive")
     if data_cfg.vocab != model_cfg.vocab:
         raise InvalidConfig("data vocab must match model vocab")
-    sched_cfg = opt_cfg.schedule_cfg
-    if sched_cfg is None:
-        sched_cfg = ScheduleConfig(t_max=steps, warmup_steps=steps // 10)
-    elif sched_cfg.t_max != steps:
-        raise InvalidConfig(f"schedule t_max {sched_cfg.t_max} != steps {steps}")
+    if plan_cfg.eta != opt_cfg.eta:
+        raise InvalidConfig(f"plan eta {plan_cfg.eta} != optim eta {opt_cfg.eta}: "
+                            "a run has one eta")
     # Uniform mode is LLR with s = 1: every plan peak is eta.
-    if opt_cfg.mode is TrainMode.LLR:
-        plan_cfg = opt_cfg.plan_cfg
-    else:
+    if opt_cfg.mode is TrainMode.UNIFORM:
         plan_cfg = PlanConfig(eta=opt_cfg.eta, s=1.0)
 
     _keep_heap()
@@ -175,18 +167,17 @@ def run_training(
     losses: list[float] = []
     timeline: list[tuple[int, str, float]] = []
     history: list[list[SpectralSummary]] = []
-    stds: list[float] = []
     boundaries: list[int] = []
     state = ScheduleState()
+    diverged = False
 
     def provider(t: int):
-        summaries, _ = sweep_summaries(model.weight_matrices(), opt_cfg.fit_cfg)
+        summaries, _ = sweep_summaries(model.weight_matrices(), fit_cfg)
         history.append(summaries)
-        stds.append(alpha_std(summaries))
         boundaries.append(t)
         return [(s.layer_name, s.alpha) for s in summaries]
 
-    for t in range(steps):
+    for t in range(sched_cfg.t_max):
         batch = next(batches)
         state = on_step(state, sched_cfg, provider, plan_cfg, model.roles, t)
         lrs = lrs_at(state, sched_cfg, opt_cfg.eta, model.params, t)
@@ -194,9 +185,8 @@ def run_training(
 
         loss, grads = loss_and_grads(model, batch)
         if not math.isfinite(loss):
-            partial = _finalize(losses, timeline, history, stds, boundaries,
-                                opt_cfg.mode, diverged=True)
-            raise DivergedLoss(t, partial)
+            diverged = True
+            break
         losses.append(loss)
 
         adamw_step(
@@ -212,5 +202,4 @@ def run_training(
             optimizer=opt_cfg.optimizer,
         )
 
-    return _finalize(losses, timeline, history, stds, boundaries,
-                     opt_cfg.mode, diverged=False)
+    return TrainRun(np.asarray(losses), timeline, history, boundaries, opt_cfg.mode, diverged)

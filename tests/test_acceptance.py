@@ -20,7 +20,6 @@ import pytest
 from tailwise.allocate import Assignment, PlanConfig, linear_map
 from tailwise.cli import main as cli_main
 from tailwise.data import DataConfig
-from tailwise.errors import DivergedLoss
 from tailwise.manifest import save_manifest
 from tailwise.model import ModelConfig, build_model, forward_loss, loss_and_grads
 from tailwise.reports import analysis_report
@@ -74,13 +73,9 @@ def study_schedule(steps: int) -> ScheduleConfig:
 def study_run(seed: int, mode: TrainMode, assignment: Assignment, steps: int = STUDY_STEPS):
     model_cfg = ModelConfig(seed=seed)
     data_cfg = DataConfig(seed=seed, length=200_000)
-    opt_cfg = OptimConfig(
-        eta=STUDY_ETA,
-        mode=mode,
-        plan_cfg=PlanConfig(eta=STUDY_ETA, s=STUDY_S, assignment=assignment),
-        schedule_cfg=study_schedule(steps),
-    )
-    return run_training(model_cfg, opt_cfg, data_cfg, steps)
+    plan_cfg = PlanConfig(eta=STUDY_ETA, s=STUDY_S, assignment=assignment)
+    return run_training(model_cfg, OptimConfig(eta=STUDY_ETA, mode=mode), data_cfg, plan_cfg,
+                        study_schedule(steps))
 
 
 def study_arm(seed: int, arm: str, steps: int = STUDY_STEPS):
@@ -221,10 +216,8 @@ def test_c05_uniform_degeneration_bitwise():
     data_cfg = DataConfig(seed=7, length=100_000)
 
     def arm(mode):
-        opt = OptimConfig(eta=STUDY_ETA, mode=mode,
-                          plan_cfg=PlanConfig(eta=STUDY_ETA, s=1.0),
-                          schedule_cfg=study_schedule(steps))
-        return run_training(model_cfg, opt, data_cfg, steps)
+        return run_training(model_cfg, OptimConfig(eta=STUDY_ETA, mode=mode), data_cfg,
+                            PlanConfig(eta=STUDY_ETA, s=1.0), study_schedule(steps))
 
     uniform = arm(TrainMode.UNIFORM)
     llr = arm(TrainMode.LLR)

@@ -10,7 +10,6 @@ from tailwise.allocate import (
     build_plan,
     linear_map,
     mean_normalized_map,
-    trust_ratio_lr,
 )
 from tailwise.errors import (
     EmptyInput,
@@ -19,7 +18,7 @@ from tailwise.errors import (
     NonPositiveLog,
     UnknownLayer,
 )
-from tailwise.optim import LAMB_MAX_RATIO, OptimizerKind, adamw_step, init_moments
+from tailwise.optim import LAMB_MAX_RATIO, OptimizerKind, adamw_step, init_moments, trust_ratio_lr
 from tailwise.spectral import LayerRole
 
 ETA = 1e-3

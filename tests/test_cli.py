@@ -328,7 +328,7 @@ def wrongly_typed_fields():
     for section, cls in CONFIG_SECTIONS.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            if not f.init or f.name in ("plan_cfg", "schedule_cfg", "fit_cfg"):
+            if not f.init:
                 continue
             tp = hints[f.name]
             if isinstance(tp, types.UnionType):  # X | None takes null too
@@ -368,6 +368,23 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    @pytest.mark.parametrize("text", [b'{"steps": "\xff"}', b"[" * 200_000],
+                             ids=["bad-utf8", "deep-nesting"])
+    def test_unreadable_json_exit_3(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.json"
+        if command == "train":
+            path.write_bytes(text)
+            argv = ["train", "--config", str(path), "--out", str(tmp_path / "o")]
+        else:
+            path.write_bytes(b'{"version": 1, "layers": ' + text)
+            argv = ["analyze", "--manifest", str(path)]
+        assert main(argv) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith(f"{path}: ")
+
     @pytest.mark.parametrize("patch, code, error, words", [
         ({"data": {"kind": "nope"}}, 2, "InvalidConfig", "'nope' is not a valid CorpusKind"),
         ({"optim": {"mode": "weird"}}, 2, "InvalidConfig", "'weird' is not a valid TrainMode"),
@@ -383,13 +400,15 @@ class TestTrainCommand:
         ({"schedule": [1]}, 2, "InvalidConfig", "config.schedule: expected dict"),
         ({"optim": {"weight_decay": math.nan}}, 2, "InvalidConfig",
          "optim.weight_decay: expected float, got NaN"),
-        ({"optim": {"plan_cfg": {}}}, 2, "InvalidConfig",
-         "optim.plan_cfg: PlanConfig cannot be set from JSON"),
+        ({"optim": {"plan_cfg": {}}}, 2, "InvalidConfig", "optim: unknown keys ['plan_cfg']"),
         ({"data": {"length": 10**20}}, 2, "InvalidConfig", "length must lie in [2, "),
         ({"optim": {"eps": 0.0}}, 2, "InvalidConfig", "eps must be positive"),
         ({"optim": {"weight_decay": -1.0}}, 2, "InvalidConfig", "weight_decay must be non-negative"),
         ({"model": {"d_model": 16, "ffn_mult": 0.01}}, 2, "InvalidConfig", "empty FFN"),
         ({"optim": {"eta": 1e308}}, 2, "InvalidConfig", "s * eta must be finite"),
+        ({"schedule": {"t_max": 12}}, 2, "InvalidConfig", "schedule t_max 12 != steps 10"),
+        ({"model": {"vocab": 10**15}, "data": {"vocab": 10**15}}, 4, "MemoryError",
+         "Unable to allocate"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)

@@ -54,9 +54,8 @@ class TestRunSummary:
         data = DataConfig(seed=2, length=4000, vocab=16, batch=4)
         sched = ScheduleConfig(t_max=40, warmup_steps=4, recompute_interval=20,
                                t_switch=10, active_fraction=1.0)
-        opt = OptimConfig(eta=2e-3, mode=TrainMode.LLR,
-                          plan_cfg=PlanConfig(eta=2e-3, s=4.0), schedule_cfg=sched)
-        run = run_training(model, opt, data, 40)
+        opt = OptimConfig(eta=2e-3, mode=TrainMode.LLR)
+        run = run_training(model, opt, data, PlanConfig(eta=2e-3, s=4.0), sched)
         doc = run_summary(run)
         assert doc["mode"] == "llr"
         assert doc["steps"] == 40

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tailwise.cli import main
-from tailwise.errors import NonFiniteInput, NotAMatrix
+from tailwise.errors import NonFiniteInput
 from tailwise.manifest import save_manifest
 from tailwise.spectral import LayerRole, WeightMatrix, esd
 from tailwise.tailfit import summarize
@@ -55,11 +55,6 @@ class TestEsd:
         w[1, 2] = np.nan
         with pytest.raises(NonFiniteInput):
             esd(mat(w))
-
-    def test_rejects_non_matrix_role(self):
-        w = WeightMatrix("gain", LayerRole.NON_MATRIX, np.ones(4))
-        with pytest.raises(NotAMatrix):
-            esd(w)
 
     def test_scale_equivariance(self):
         w = random_mat(6, 10, 7)
@@ -118,6 +113,12 @@ class TestFrobenius:
 
 
 class TestWeightMatrix:
-    def test_non_matrix_must_be_1d(self):
+    @pytest.mark.parametrize("role, values", [
+        (LayerRole.NON_MATRIX, np.ones(4)),
+        (LayerRole.NON_MATRIX, np.ones((2, 2))),
+        (LayerRole.ATT_Q, np.ones(4)),
+        (LayerRole.ATT_Q, np.ones((2, 2, 2))),
+    ], ids=["non-matrix-role-1d", "non-matrix-role-2d", "1d", "3d"])
+    def test_is_always_a_2d_matrix(self, role, values):
         with pytest.raises(ValueError):
-            WeightMatrix("g", LayerRole.NON_MATRIX, np.ones((2, 2)))
+            WeightMatrix("g", role, values)

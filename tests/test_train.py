@@ -9,7 +9,7 @@ import pytest
 import tailwise.train
 from tailwise.allocate import PlanConfig
 from tailwise.data import DataConfig
-from tailwise.errors import DivergedLoss, InvalidConfig
+from tailwise.errors import InvalidConfig
 from tailwise.model import ModelConfig, build_model
 from tailwise.schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
 from tailwise.train import OptimConfig, TrainMode, TrainRun, run_training
@@ -28,14 +28,8 @@ def sched(steps=STEPS, **kw):
 
 
 def run(mode, eta=2e-3, s=4.0, steps=STEPS, **opt_kw):
-    oc = OptimConfig(
-        eta=eta,
-        mode=mode,
-        plan_cfg=PlanConfig(eta=eta, s=s),
-        schedule_cfg=sched(steps),
-        **opt_kw,
-    )
-    return run_training(MODEL, oc, DATA, steps)
+    oc = OptimConfig(eta=eta, mode=mode, **opt_kw)
+    return run_training(MODEL, oc, DATA, PlanConfig(eta=eta, s=s), sched(steps))
 
 
 class TestRunTraining:
@@ -103,42 +97,47 @@ class TestRunTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaNs flow until caught
     def test_divergence_aborts_with_partial_telemetry(self):
-        with pytest.raises(DivergedLoss) as info:
-            run(TrainMode.UNIFORM, eta=80.0, steps=60)
-        partial = info.value.partial
-        assert isinstance(partial, TrainRun)
-        assert partial.diverged
-        assert partial.final_loss == math.inf
-        assert partial.losses.size == info.value.step
+        # The run stops at the first non-finite loss and returns what it had.
+        r = run(TrainMode.UNIFORM, eta=80.0, steps=60)
+        assert isinstance(r, TrainRun)
+        assert r.diverged
+        assert r.final_loss == math.inf
+        diverged_step = r.losses.size
+        assert 0 < diverged_step < 60
+        assert np.all(np.isfinite(r.losses))
+        names = build_model(MODEL).matrix_names()
+        assert len(r.lr_timeline) == (diverged_step + 1) * len(names)
+        assert [row[0] for row in r.lr_timeline[-len(names):]] == [diverged_step] * len(names)
 
     def test_mode_defaults_to_llr(self):
         # A train config without optim.mode gets this dataclass default too.
         assert OptimConfig().mode is TrainMode.LLR
 
     @pytest.mark.parametrize("field, value", [
-        ("eps", math.inf), ("eps", math.nan), ("weight_decay", math.inf)])
+        ("eps", math.inf), ("eps", math.nan), ("weight_decay", math.inf),
+        ("eta", math.inf), ("eta", math.nan), ("grad_clip", math.inf), ("grad_clip", math.nan)])
     def test_non_finite_optimizer_numbers(self, field, value):
         # Only Python callers can pass these: the JSON reader takes finite numbers.
         with pytest.raises(InvalidConfig):
             OptimConfig(**{field: value})
 
     def test_steps_must_match_schedule(self):
-        oc = OptimConfig(eta=1e-3, schedule_cfg=sched(STEPS))
-        with pytest.raises(InvalidConfig):
-            run_training(MODEL, oc, DATA, STEPS + 1)
+        # The schedule's t_max is the run's length.
+        r = run_training(MODEL, OptimConfig(), DATA, PlanConfig(eta=1e-3), ScheduleConfig(t_max=7))
+        assert r.losses.size == 7
+        assert r.lr_timeline[-1][0] == 6
 
     def test_vocab_mismatch(self):
-        oc = OptimConfig(eta=1e-3, schedule_cfg=sched())
         with pytest.raises(InvalidConfig):
             run_training(ModelConfig(vocab=16, d_model=32, n_layers=1, n_heads=2,
-                                     context=32), oc, DATA, STEPS)
+                                     context=32), OptimConfig(eta=1e-3), DATA,
+                         PlanConfig(eta=1e-3), sched())
 
     def test_tied_head_trains(self):
         cfg = ModelConfig(vocab=32, d_model=32, n_layers=1, n_heads=2, context=32,
                           seed=0, tie_output_head=True)
-        oc = OptimConfig(eta=2e-3, mode=TrainMode.LLR,
-                         plan_cfg=PlanConfig(eta=2e-3, s=4.0), schedule_cfg=sched(60))
-        r = run_training(cfg, oc, DATA, 60)
+        oc = OptimConfig(eta=2e-3, mode=TrainMode.LLR)
+        r = run_training(cfg, oc, DATA, PlanConfig(eta=2e-3, s=4.0), sched(60))
         names = {s.layer_name for s in r.alpha_history[0]}
         assert "output_head" not in names  # single shared matrix, one analysis
         assert "embed" in names
@@ -179,17 +178,17 @@ class TestHeapPolicy:
             return real(model, batch)
 
         monkeypatch.setattr(tailwise.train, "loss_and_grads", counted)
-        oc = OptimConfig(eta=3e-3, schedule_cfg=ScheduleConfig(
-            t_max=steps, warmup_steps=4, recompute_interval=20, t_switch=10))
+        sched_cfg = ScheduleConfig(t_max=steps, warmup_steps=4, recompute_interval=20, t_switch=10)
         # The acceptance study's shape (d64, 2 layers, batch 16, context 64).
-        run_training(ModelConfig(seed=0), oc, DataConfig(seed=0, length=20_000), steps)
+        run_training(ModelConfig(seed=0), OptimConfig(eta=3e-3), DataConfig(seed=0, length=20_000),
+                     PlanConfig(eta=3e-3), sched_cfg)
         end = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         per_step = (end - faults[first]) / (steps - first)
         assert per_step < 300, f"{per_step:.0f} minor page faults per step"
 
     def test_trains_the_same_without_mallopt(self, monkeypatch):
-        oc = OptimConfig(eta=2e-3, schedule_cfg=sched(40))
-        expected = run_training(MODEL, oc, DATA, 40)
+        args = (MODEL, OptimConfig(eta=2e-3), DATA, PlanConfig(eta=2e-3), sched(40))
+        expected = run_training(*args)
         lookups = []
 
         def no_libc(name, *args, **kwargs):
@@ -197,7 +196,7 @@ class TestHeapPolicy:
             raise OSError("no C library")
 
         monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        got = run_training(MODEL, oc, DATA, 40)
+        got = run_training(*args)
         assert lookups == [None]
         np.testing.assert_array_equal(got.losses, expected.losses)
         assert got.lr_timeline == expected.lr_timeline
@@ -221,6 +220,6 @@ class TestBenchmarkMarkSites:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(tailwise.train, name, record)
-        run_training(MODEL, OptimConfig(), DATA, 2)
+        run_training(MODEL, OptimConfig(), DATA, PlanConfig(eta=1e-3), ScheduleConfig(t_max=2))
         assert calls[0] == "on_step"
         assert calls.index("sweep_summaries") < calls.index("loss_and_grads")
