@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyInput, InfiniteAlpha, InvalidConfig, NonPositiveLog, UnknownLayer
 from .spectral import PINNED_ROLES, LayerRole
+from .tailfit import SpectralSummary
 
 AlphaList = Sequence[tuple[str, float]]
 RoleMap = Mapping[str, LayerRole]
@@ -55,7 +56,6 @@ class LRPlan:
     per_layer: list[tuple[str, float]]
     alpha_min: float
     alpha_max: float
-    created_at_step: int = 0
     _index: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,14 +77,15 @@ class LRPlan:
         return max(lr for _, lr in self.per_layer)
 
 
-def _alpha_extremes(alphas: AlphaList) -> tuple[float, float]:
-    pool = [a for _, a in alphas if math.isfinite(a)]
+def alpha_range(alphas: Iterable[float]) -> tuple[float, float]:
+    """Min and max of the finite alphas; nan and nan when there are none."""
+    pool = [a for a in alphas if math.isfinite(a)]
     if not pool:
         return math.nan, math.nan
     return min(pool), max(pool)
 
 
-def linear_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LRPlan:
+def linear_map(alphas: AlphaList, cfg: PlanConfig) -> LRPlan:
     """Bounded linear (or inverse-linear) alpha-to-LR map.
 
     Infinite-alpha layers (degenerate spectra) count as least heavy-tailed:
@@ -94,7 +95,7 @@ def linear_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LRPlan:
     """
     if not alphas:
         raise EmptyInput("no alphas to allocate over")
-    amin, amax = _alpha_extremes(alphas)
+    amin, amax = alpha_range(a for _, a in alphas)
     inverse = cfg.assignment is Assignment.LINEAR_INVERSE
     span = amax - amin
     per_layer = []
@@ -107,10 +108,10 @@ def linear_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LRPlan:
             ratio = (amax - a) / span if inverse else (a - amin) / span
             lr = cfg.eta * (ratio * (cfg.s - 1.0) + 1.0)
         per_layer.append((name, lr))
-    return LRPlan(per_layer, amin, amax, step)
+    return LRPlan(per_layer, amin, amax)
 
 
-def mean_normalized_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LRPlan:
+def mean_normalized_map(alphas: AlphaList, cfg: PlanConfig) -> LRPlan:
     """Sqrt or log2 assignment, normalized by the layer mean of the transform."""
     if not alphas:
         raise EmptyInput("no alphas to allocate over")
@@ -123,8 +124,7 @@ def mean_normalized_map(alphas: AlphaList, cfg: PlanConfig, step: int = 0) -> LR
     values = [transform(a) for _, a in alphas]
     mean = sum(values) / len(values)
     per_layer = [(name, cfg.eta * v / mean) for (name, _), v in zip(alphas, values)]
-    finite = [a for _, a in alphas]
-    return LRPlan(per_layer, min(finite), max(finite), step)
+    return LRPlan(per_layer, *alpha_range(a for _, a in alphas))
 
 
 def apply_embedding_override(plan: LRPlan, roles: RoleMap, cfg: PlanConfig) -> LRPlan:
@@ -144,13 +144,16 @@ def apply_embedding_override(plan: LRPlan, roles: RoleMap, cfg: PlanConfig) -> L
         (name, pinned if roles.get(name) in PINNED_ROLES else lr)
         for name, lr in plan.per_layer
     ]
-    return LRPlan(per_layer, plan.alpha_min, plan.alpha_max, plan.created_at_step)
+    return LRPlan(per_layer, plan.alpha_min, plan.alpha_max)
 
 
-def build_plan(alphas: AlphaList, roles: RoleMap, cfg: PlanConfig, step: int = 0) -> LRPlan:
-    """Assignment dispatch plus embedding override: the full allocation step."""
+def build_plan(summaries: Sequence[SpectralSummary], cfg: PlanConfig) -> LRPlan | None:
+    """Assignment map plus embedding override over a sweep's fitted layers; None if none."""
+    if not summaries:
+        return None
+    alphas = [(s.layer_name, s.alpha) for s in summaries]
     if cfg.assignment in (Assignment.LINEAR, Assignment.LINEAR_INVERSE):
-        plan = linear_map(alphas, cfg, step)
+        plan = linear_map(alphas, cfg)
     else:
-        plan = mean_normalized_map(alphas, cfg, step)
-    return apply_embedding_override(plan, roles, cfg)
+        plan = mean_normalized_map(alphas, cfg)
+    return apply_embedding_override(plan, {s.layer_name: s.role for s in summaries}, cfg)

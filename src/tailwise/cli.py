@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocate import Assignment, PlanConfig
+from .allocate import Assignment, PlanConfig, build_plan
 from .data import DataConfig
 from .errors import DataError, DivergedLoss, EmptyInput, InvalidConfig, ParseError, TailwiseError
 from .fromjson import from_json, read_json
@@ -28,12 +28,11 @@ from .reports import (
     plan_document,
     render_document,
     run_summary,
-    sweep_plan,
     timeline_csv,
 )
 from .schedule import BaseSchedule, ScheduleConfig, base_lr_at
 from .tailfit import FitConfig, FitMethod
-from .train import OptimConfig, run_training
+from .train import OptimConfig, check_sections, run_training, sweep_summaries
 
 
 def _write(out: str | Path | None, text: str) -> None:
@@ -81,7 +80,8 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     matrices = load_manifest(args.manifest)
     plan_cfg = _plan_config(args)
-    _, _, plan = sweep_plan(matrices, _fit_config(args), plan_cfg)
+    summaries, _ = sweep_summaries(matrices, _fit_config(args))
+    plan = build_plan(summaries, plan_cfg)
     if plan is None:
         raise EmptyInput(f"{args.manifest}: no layer could be fitted")
     _write(args.out, render_document(plan_document(plan, plan_cfg, args.method)))
@@ -102,7 +102,8 @@ def cmd_schedule(args) -> int:
     )
     # Alphas are frozen from the manifest, so every recompute would rebuild
     # this plan, and an unchanged plan follows the base schedule at its peak.
-    _, _, plan = sweep_plan(matrices, _fit_config(args), plan_cfg)
+    summaries, _ = sweep_summaries(matrices, _fit_config(args))
+    plan = build_plan(summaries, plan_cfg)
     peaks = [(w.name, plan.base_lr(w.name) if plan is not None and w.name in plan
               else plan_cfg.eta) for w in matrices]
     rows = [(t, name, base_lr_at(cfg, peak, t)) for t in range(args.steps) for name, peak in peaks]
@@ -136,6 +137,7 @@ def cmd_train(args) -> int:
     fit_cfg = read(FitConfig, top.fit, "fit")
     if sched_cfg.t_max != top.steps:
         raise InvalidConfig(f"schedule t_max {sched_cfg.t_max} != steps {top.steps}")
+    check_sections(model_cfg, opt_cfg, data_cfg, plan_cfg)
 
     out_dir = Path(args.out)
     try:

@@ -33,6 +33,14 @@ def read_json(path, error: type[Exception]):
         raise error(f"{path}: {exc}") from exc
 
 
+def _render(value) -> str:
+    """``value`` as JSON text for an error message, if it is shallow enough to render."""
+    try:
+        return json.dumps(value)
+    except RecursionError:
+        return "a value nested too deep to show"
+
+
 def read_value(tp, value, name: str, error: type[Exception]):
     """``value`` read as type ``tp``; a mismatch raises ``error`` naming ``name``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -57,7 +65,7 @@ def read_value(tp, value, name: str, error: type[Exception]):
             raise error(f"{name}: {exc}") from None
     else:
         raise error(f"{name}: {shown} cannot be set from JSON")
-    raise error(f"{name}: expected {shown}, got {json.dumps(value)}")
+    raise error(f"{name}: expected {shown}, got {_render(value)}")
 
 
 def from_json(cls, obj, where: str, error: type[Exception], **defaults):
@@ -66,7 +74,7 @@ def from_json(cls, obj, where: str, error: type[Exception], **defaults):
     ``defaults`` fill the fields that ``obj`` leaves out, ahead of the dataclass's own.
     """
     if not isinstance(obj, dict):
-        raise error(f"{where}: expected an object, got {json.dumps(obj)}")
+        raise error(f"{where}: expected an object, got {_render(obj)}")
     init_fields = [f for f in fields(cls) if f.init]
     unknown = sorted(set(obj) - {f.name for f in init_fields})
     if unknown:

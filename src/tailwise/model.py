@@ -1,9 +1,9 @@
 """Desk-scale decoder-only transformer in plain NumPy.
 
 Pre-norm blocks with rotary attention and a gated (SiLU) feed-forward,
-no biases; float64 throughout. Gradients are hand-written reverse-mode,
-exact for the forward pass and deterministic for fixed inputs, so the
-whole trainer stays dependency-light and bit-reproducible.
+no biases; float32 unless ``dtype="f64"``. Gradients are hand-written
+reverse-mode, exact for the forward pass and deterministic for fixed
+inputs, so the whole trainer stays dependency-light and bit-reproducible.
 """
 
 from __future__ import annotations

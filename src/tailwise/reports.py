@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .allocate import LRPlan, PlanConfig, build_plan
+from .allocate import LRPlan, PlanConfig, alpha_range, build_plan
 from .spectral import WeightMatrix
-from .tailfit import FitConfig, SpectralSummary
+from .tailfit import FitConfig
 from .train import TrainRun, alpha_std, sweep_summaries
 
 
@@ -57,24 +57,6 @@ def render_document(doc: dict) -> str:
     return dumps(doc) + "\n"
 
 
-def sweep_plan(
-    matrices: Sequence[WeightMatrix],
-    fit_cfg: FitConfig,
-    plan_cfg: PlanConfig | None,
-) -> tuple[list[SpectralSummary], dict[str, str], LRPlan | None]:
-    """Sweep ``matrices`` and plan over the layers that could be fitted.
-
-    Returns the summaries, the excluded layers' error text by name, and the
-    plan, which is None without a plan config or when nothing was fitted.
-    """
-    summaries, excluded = sweep_summaries(matrices, fit_cfg)
-    plan = None
-    if plan_cfg is not None and summaries:
-        roles = {s.layer_name: s.role for s in summaries}
-        plan = build_plan([(s.layer_name, s.alpha) for s in summaries], roles, plan_cfg)
-    return summaries, excluded, plan
-
-
 def analysis_report(
     matrices: Sequence[WeightMatrix],
     fit_cfg: FitConfig = FitConfig(),
@@ -84,7 +66,8 @@ def analysis_report(
 
     With a plan config the report also carries the assigned base LRs.
     """
-    summaries, excluded, plan = sweep_plan(matrices, fit_cfg, plan_cfg)
+    summaries, excluded = sweep_summaries(matrices, fit_cfg)
+    plan = build_plan(summaries, plan_cfg) if plan_cfg is not None else None
     fitted = {s.layer_name: s for s in summaries}
     records = []
     for w in matrices:
@@ -107,9 +90,7 @@ def analysis_report(
         records.append(record)
 
     meta: dict = {"method": fit_cfg.method.value, "alpha_std": alpha_std(summaries)}
-    finite = [s.alpha for s in summaries if math.isfinite(s.alpha)]
-    meta["alpha_min"] = min(finite) if finite else math.nan
-    meta["alpha_max"] = max(finite) if finite else math.nan
+    meta["alpha_min"], meta["alpha_max"] = alpha_range(s.alpha for s in summaries)
     if plan_cfg is not None:
         meta.update(
             eta=plan_cfg.eta,
@@ -126,7 +107,7 @@ def plan_document(plan: LRPlan, plan_cfg: PlanConfig, method: str) -> dict:
         "s": plan_cfg.s,
         "assignment": plan_cfg.assignment.value,
         "method": method,
-        "created_at_step": plan.created_at_step,
+        "created_at_step": 0,
         "alpha_min": plan.alpha_min,
         "alpha_max": plan.alpha_max,
         "layers": [{"name": n, "base_lr": lr} for n, lr in plan.per_layer],

@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .allocate import LRPlan, PlanConfig, build_plan
 from .errors import InvalidConfig, NonMonotonicStep, StepOutOfRange, UnknownLayer
-from .spectral import LayerRole
-
-AlphaProvider = Callable[[int], Sequence[tuple[str, float]]]
+from .tailfit import SpectralSummary
 
 
 class BaseSchedule(Enum):
@@ -164,26 +162,24 @@ def lrs_at(
 def on_step(
     state: ScheduleState,
     cfg: ScheduleConfig,
-    alpha_provider: AlphaProvider,
+    sweep: Callable[[int], Sequence[SpectralSummary]],
     plan_cfg: PlanConfig,
-    roles: Mapping[str, LayerRole],
     t: int,
 ) -> ScheduleState:
     """Advance the schedule by one optimizer step.
 
-    On recompute boundaries inside the active phase this calls the alpha
-    provider and builds a fresh plan; in soft mode, with a plan already
-    current, that plan is kept as ``previous_plan`` to blend from. A
-    provider that returns no alphas (no layer could be fitted) yields no
-    plan, so every layer follows the base schedule at eta until a later
-    recompute. Past the active phase the current plan holds to the end.
+    On recompute boundaries inside the active phase this calls ``sweep(t)``
+    and builds a fresh plan from its summaries; in soft mode, with a plan
+    already current, that plan is kept as ``previous_plan`` to blend from.
+    A sweep that fits no layer yields no plan, so every layer follows the
+    base schedule at eta until a later recompute. Past the active phase the
+    current plan holds to the end.
     """
     if t != state.t + 1:
         raise NonMonotonicStep(f"expected t={state.t + 1}, got {t}")
     if not recompute_due(cfg, t):
         return replace(state, t=t)
-    alphas = alpha_provider(t)
-    plan = build_plan(alphas, roles, plan_cfg, step=t) if alphas else None
+    plan = build_plan(sweep(t), plan_cfg)
     previous = state.current_plan if cfg.switch_mode is SwitchMode.SOFT else None
     return ScheduleState(t=t, current_plan=plan, previous_plan=previous, last_recompute_step=t)
 

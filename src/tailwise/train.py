@@ -135,6 +135,16 @@ def _keep_heap() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
+def check_sections(model_cfg: ModelConfig, opt_cfg: OptimConfig, data_cfg: DataConfig,
+                   plan_cfg: PlanConfig) -> None:
+    """Raise InvalidConfig unless the sections agree on the vocab and on eta."""
+    if data_cfg.vocab != model_cfg.vocab:
+        raise InvalidConfig("data vocab must match model vocab")
+    if plan_cfg.eta != opt_cfg.eta:
+        raise InvalidConfig(f"plan eta {plan_cfg.eta} != optim eta {opt_cfg.eta}: "
+                            "a run has one eta")
+
+
 def run_training(
     model_cfg: ModelConfig,
     opt_cfg: OptimConfig,
@@ -148,11 +158,7 @@ def run_training(
     A non-finite loss stops the loop: the run returned then has ``diverged``
     set and holds what was recorded up to that step.
     """
-    if data_cfg.vocab != model_cfg.vocab:
-        raise InvalidConfig("data vocab must match model vocab")
-    if plan_cfg.eta != opt_cfg.eta:
-        raise InvalidConfig(f"plan eta {plan_cfg.eta} != optim eta {opt_cfg.eta}: "
-                            "a run has one eta")
+    check_sections(model_cfg, opt_cfg, data_cfg, plan_cfg)
     # Uniform mode is LLR with s = 1: every plan peak is eta.
     if opt_cfg.mode is TrainMode.UNIFORM:
         plan_cfg = PlanConfig(eta=opt_cfg.eta, s=1.0)
@@ -171,15 +177,15 @@ def run_training(
     state = ScheduleState()
     diverged = False
 
-    def provider(t: int):
+    def sweep(t: int) -> list[SpectralSummary]:
         summaries, _ = sweep_summaries(model.weight_matrices(), fit_cfg)
         history.append(summaries)
         boundaries.append(t)
-        return [(s.layer_name, s.alpha) for s in summaries]
+        return summaries
 
     for t in range(sched_cfg.t_max):
         batch = next(batches)
-        state = on_step(state, sched_cfg, provider, plan_cfg, model.roles, t)
+        state = on_step(state, sched_cfg, sweep, plan_cfg, t)
         lrs = lrs_at(state, sched_cfg, opt_cfg.eta, model.params, t)
         timeline.extend((t, name, lrs[name]) for name in matrix_order)
 

@@ -25,7 +25,7 @@ from tailwise.model import ModelConfig, build_model, forward_loss, loss_and_grad
 from tailwise.reports import analysis_report
 from tailwise.schedule import ScheduleConfig, ScheduleState, SwitchMode, layer_lr_at, on_step
 from tailwise.spectral import LayerRole, WeightMatrix, esd
-from tailwise.tailfit import FitConfig, fit_alpha, hill_alpha
+from tailwise.tailfit import FitConfig, SpectralSummary, fit_alpha, hill_alpha
 from tailwise.train import OptimConfig, TrainMode, run_training
 
 # Directional-study configuration (criteria 9 and 10).
@@ -227,6 +227,12 @@ def test_c05_uniform_degeneration_bitwise():
             f"{'bit-identical' if identical else 'DIFFER'}")
 
 
+def fitted(provider, roles):
+    """A sweep giving each of the provider's (name, alpha) pairs as a summary."""
+    return lambda t: [SpectralSummary(name, roles[name], alpha, 0, 0, 0.0, 0.0, 0.0)
+                      for name, alpha in provider(t)]
+
+
 def test_c06_soft_switch_no_spike():
     eta, s = 1e-3, 5.0
     roles = {"a": LayerRole.ATT_Q, "b": LayerRole.FFN_UP}
@@ -240,8 +246,8 @@ def test_c06_soft_switch_no_spike():
         state = ScheduleState()
         values = []
         for t in range(200):
-            state = on_step(state, cfg, lambda _t: table.get(_t, table[100]),
-                            plan_cfg, roles, t)
+            state = on_step(state, cfg, fitted(lambda _t: table.get(_t, table[100]), roles),
+                            plan_cfg, t)
             values.append(layer_lr_at(state, cfg, "a", t))
         deltas = np.abs(np.diff(values))
         results[mode] = (float(deltas.max()), values)
@@ -274,7 +280,7 @@ def test_c07_recompute_cadence():
 
         state = ScheduleState()
         for t in range(1000):
-            state = on_step(state, cfg, provider, plan_cfg, roles, t)
+            state = on_step(state, cfg, fitted(provider, roles), plan_cfg, t)
         counts[active] = len(calls)
     ok = counts[0.2] == 3 and counts[1.0] == 10
     verdict(7, ok, f"plans built: active 0.2 -> {counts[0.2]} (want 3), "

@@ -6,6 +6,7 @@ import pytest
 from tailwise.allocate import (
     Assignment,
     PlanConfig,
+    alpha_range,
     apply_embedding_override,
     build_plan,
     linear_map,
@@ -20,12 +21,18 @@ from tailwise.errors import (
 )
 from tailwise.optim import LAMB_MAX_RATIO, OptimizerKind, adamw_step, init_moments, trust_ratio_lr
 from tailwise.spectral import LayerRole
+from tailwise.tailfit import SpectralSummary
 
 ETA = 1e-3
 
 
 def lrs(plan):
     return dict(plan.per_layer)
+
+
+def summaries(pairs, roles):
+    """One summary per (name, alpha) pair, with the role ``roles`` gives the name."""
+    return [SpectralSummary(name, roles[name], alpha, 0, 0, 0.0, 0.0, 0.0) for name, alpha in pairs]
 
 
 class TestLinearMap:
@@ -173,8 +180,29 @@ class TestEmbeddingOverride:
 
     def test_s1_override_keeps_eta(self):
         cfg = PlanConfig(eta=ETA, s=1.0)
-        plan = build_plan([("emb", 3.0), ("q", 4.0)], self.ROLES, cfg)
+        plan = build_plan(summaries([("emb", 3.0), ("q", 4.0)], self.ROLES), cfg)
         assert all(lr == ETA for _, lr in plan.per_layer)
+
+
+class TestBuildPlan:
+    ROLES = {"emb": LayerRole.EMBEDDING, "q": LayerRole.ATT_Q, "up": LayerRole.FFN_UP}
+
+    def test_no_fitted_layer_gives_no_plan(self):
+        assert build_plan([], PlanConfig(eta=ETA)) is None
+
+    def test_reads_names_alphas_and_roles_off_the_summaries(self):
+        pairs = [("emb", 3.0), ("q", 2.0), ("up", 4.0)]
+        for assignment in Assignment:
+            cfg = PlanConfig(eta=ETA, s=5.0, assignment=assignment)
+            plan = build_plan(summaries(pairs, self.ROLES), cfg)
+            mapped = (mean_normalized_map if assignment in (Assignment.SQRT, Assignment.LOG2)
+                      else linear_map)(pairs, cfg)
+            assert plan == apply_embedding_override(mapped, self.ROLES, cfg)
+
+    def test_alpha_range_is_over_the_finite_alphas(self):
+        assert alpha_range([3.0, math.inf, 2.0, 4.0]) == (2.0, 4.0)
+        assert all(math.isnan(a) for a in alpha_range([math.inf]))
+        assert all(math.isnan(a) for a in alpha_range([]))
 
 
 class TestPlanLookup:

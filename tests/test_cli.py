@@ -213,12 +213,10 @@ class TestPlanCommand:
 def replay_schedule(matrices, plan_cfg: PlanConfig, cfg: ScheduleConfig) -> str:
     """The timeline CSV as the trainer's recompute machine gives it over frozen alphas."""
     summaries, _ = sweep_summaries(matrices, FitConfig())
-    alphas = [(s.layer_name, s.alpha) for s in summaries]
-    roles = {w.name: w.role for w in matrices}
     names = [w.name for w in matrices]
     rows, state = [], ScheduleState()
     for t in range(cfg.t_max):
-        state = on_step(state, cfg, lambda _t: alphas, plan_cfg, roles, t)
+        state = on_step(state, cfg, lambda _t: summaries, plan_cfg, t)
         lrs = lrs_at(state, cfg, plan_cfg.eta, names, t)
         rows.extend((t, name, lrs[name]) for name in names)
     return timeline_csv(rows)
@@ -409,6 +407,7 @@ class TestTrainCommand:
         ({"schedule": {"t_max": 12}}, 2, "InvalidConfig", "schedule t_max 12 != steps 10"),
         ({"model": {"vocab": 10**15}, "data": {"vocab": 10**15}}, 4, "MemoryError",
          "Unable to allocate"),
+        ({"data": {"vocab": 8}}, 2, "InvalidConfig", "data vocab must match model vocab"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -423,6 +422,8 @@ class TestTrainCommand:
         record = json.loads(capsys.readouterr().err)  # one record, nothing else
         assert record["error"] == error
         assert words in record["message"]
+        if error == "InvalidConfig":  # every config check runs before --out is made
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, name, value", [
         pytest.param(section, name, value, id=f"{section}.{name}={json.dumps(value)}")

@@ -18,8 +18,15 @@ from tailwise.schedule import (
     recompute_due,
 )
 from tailwise.spectral import LayerRole
+from tailwise.tailfit import SpectralSummary
 
 ROLES = {"a": LayerRole.ATT_Q, "b": LayerRole.FFN_UP, "emb": LayerRole.EMBEDDING}
+
+
+def fitted(provider, roles=ROLES):
+    """A sweep giving each of the provider's (name, alpha) pairs as a summary."""
+    return lambda t: [SpectralSummary(name, roles[name], alpha, 0, 0, 0.0, 0.0, 0.0)
+                      for name, alpha in provider(t)]
 
 
 def flat_cfg(t_max=1000, **kw):
@@ -33,7 +40,7 @@ def drive(cfg, provider, plan_cfg, steps, roles=ROLES):
     state = ScheduleState()
     states = []
     for t in range(steps):
-        state = on_step(state, cfg, provider, plan_cfg, roles, t)
+        state = on_step(state, cfg, fitted(provider, roles), plan_cfg, t)
         states.append(state)
     return states
 
@@ -93,7 +100,7 @@ class TestSwitchWindow:
         plan_cfg = PlanConfig(eta=1e-3, s=3.0)
         state = ScheduleState()
         for t in range(101):
-            state = on_step(state, cfg2, provider, plan_cfg, ROLES, t)
+            state = on_step(state, cfg2, fitted(provider), plan_cfg, t)
         # layer a: old peak eta=1e-3, new peak 3e-3 (alpha at top of range)
         assert layer_lr_at(state, cfg2, "a", 100) == pytest.approx(1e-3)
         assert layer_lr_at(state, cfg2, "a", 125) == pytest.approx(2e-3)
@@ -108,7 +115,7 @@ class TestSwitchWindow:
         values = []
         for t in range(200):
             provider = lambda _t: table.get(_t, table[100])
-            state = on_step(state, cfg, provider, plan_cfg, ROLES, t)
+            state = on_step(state, cfg, fitted(provider), plan_cfg, t)
             values.append(layer_lr_at(state, cfg, "a", t))
         deltas = [abs(y - x) for x, y in zip(values, values[1:])]
         start, target = 1e-3, 5e-3
@@ -122,8 +129,8 @@ class TestSwitchWindow:
         state = ScheduleState()
         values = []
         for t in range(150):
-            state = on_step(state, cfg, lambda _t: table.get(_t, table[100]),
-                            plan_cfg, ROLES, t)
+            state = on_step(state, cfg, fitted(lambda _t: table.get(_t, table[100])),
+                            plan_cfg, t)
             values.append(layer_lr_at(state, cfg, "a", t))
         deltas = [abs(y - x) for x, y in zip(values, values[1:])]
         assert max(deltas) == pytest.approx(4e-3, abs=1e-15)  # single-step jump
@@ -196,9 +203,9 @@ class TestOnStep:
     def test_non_monotonic_step(self):
         cfg = flat_cfg()
         state = ScheduleState()
-        state = on_step(state, cfg, lambda t: [("a", 2.0)], PlanConfig(eta=1e-3), ROLES, 0)
+        state = on_step(state, cfg, fitted(lambda t: [("a", 2.0)]), PlanConfig(eta=1e-3), 0)
         with pytest.raises(NonMonotonicStep):
-            on_step(state, cfg, lambda t: [("a", 2.0)], PlanConfig(eta=1e-3), ROLES, 2)
+            on_step(state, cfg, fitted(lambda t: [("a", 2.0)]), PlanConfig(eta=1e-3), 2)
 
     def test_fixed_alphas_give_identical_plans_and_continuity(self):
         cfg = flat_cfg(t_max=500, recompute_interval=100, t_switch=50, active_fraction=1.0)
@@ -311,7 +318,7 @@ def test_every_step_stays_in_bounds(cfg, eta, s, assignment, data):
     names = ["a", "b", "emb", "gain"]
     state = ScheduleState()
     for t in range(cfg.t_max):
-        state = on_step(state, cfg, lambda _t: data.draw(ALPHAS), plan_cfg, ROLES, t)
+        state = on_step(state, cfg, fitted(lambda _t: data.draw(ALPHAS)), plan_cfg, t)
         lrs = lrs_at(state, cfg, eta, names, t)
         plan, previous = state.current_plan, state.previous_plan
         for name, lr in lrs.items():

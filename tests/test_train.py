@@ -1,15 +1,19 @@
 import ctypes
 import importlib
+import json
 import math
 import resource
 
 import numpy as np
 import pytest
 
+import tailwise.schedule
 import tailwise.train
 from tailwise.allocate import PlanConfig
+from tailwise.cli import main
 from tailwise.data import DataConfig
 from tailwise.errors import InvalidConfig
+from tailwise.manifest import save_manifest
 from tailwise.model import ModelConfig, build_model
 from tailwise.schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
 from tailwise.train import OptimConfig, TrainMode, TrainRun, run_training
@@ -78,13 +82,10 @@ class TestRunTraining:
         names = model.matrix_names()
         sweeps = dict(zip(r.recompute_steps, r.alpha_history))
 
-        def provider(t):
-            return [(s.layer_name, s.alpha) for s in sweeps[t]]
-
         state = ScheduleState()
         replay = []
         for t in range(STEPS):
-            state = on_step(state, cfg, provider, PlanConfig(eta=2e-3, s=4.0), model.roles, t)
+            state = on_step(state, cfg, sweeps.__getitem__, PlanConfig(eta=2e-3, s=4.0), t)
             lrs = lrs_at(state, cfg, 2e-3, names, t)
             replay.extend((t, name, lrs[name]) for name in names)
         assert r.lr_timeline == replay
@@ -145,6 +146,25 @@ class TestRunTraining:
     def test_loss_improves_over_run(self):
         r = run(TrainMode.UNIFORM, steps=300)
         assert r.final_loss < float(np.mean(r.losses[:20]))
+
+
+class TestPlanCommandAgrees:
+    def test_trainer_applies_the_plan_commands_plan(self, tmp_path):
+        # The trainer plans over build_model's weights at step 0; `tailwise plan`
+        # over a manifest of the same weights must give the same LRs, bit for bit.
+        # With no recompute before warmup ends, each layer's LR there is its plan LR.
+        manifest = save_manifest(tmp_path, build_model(MODEL).weight_matrices())
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--manifest", str(manifest), "--eta", repr(2e-3), "--s", "4",
+                     "--out", str(out)]) == 0
+        layers = json.loads(out.read_text())["layers"]
+        planned = {layer["name"]: layer["base_lr"] for layer in layers}
+        cfg = sched()
+        assert cfg.recompute_interval > cfg.warmup_steps
+        r = run(TrainMode.LLR, eta=2e-3, s=4.0)
+        applied = {name: lr for t, name, lr in r.lr_timeline if t == cfg.warmup_steps}
+        assert len(applied) == 16
+        assert applied == planned
 
 
 class TestTrustRatioModes:
@@ -220,6 +240,17 @@ class TestBenchmarkMarkSites:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(tailwise.train, name, record)
-        run_training(MODEL, OptimConfig(), DATA, PlanConfig(eta=1e-3), ScheduleConfig(t_max=2))
+        # The benchmark's allocate.build_plan span is recorded where the schedule
+        # looks build_plan up: once per recompute of the trainer's plan.
+        plans = []
+        build_plan = tailwise.schedule.build_plan
+
+        def counted(*args, **kwargs):
+            plans.append(build_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(tailwise.schedule, "build_plan", counted)
+        r = run_training(MODEL, OptimConfig(), DATA, PlanConfig(eta=1e-3), ScheduleConfig(t_max=2))
         assert calls[0] == "on_step"
         assert calls.index("sweep_summaries") < calls.index("loss_and_grads")
+        assert len(plans) == len(r.recompute_steps) == 1
