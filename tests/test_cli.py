@@ -457,6 +457,22 @@ class TestTrainCommand:
         rows = (out_dir / "timeline.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == (summary["steps"] + 1) * 9  # the diverged step's LRs too
 
+    def test_diverged_sharded_run_is_silent(self, tmp_path, capsys, two_thread_budget):
+        # 16 x 64 tokens per batch: each step runs half its rows on a worker
+        # thread, which must overflow as silently as the caller's.
+        config = small_config(steps=60)
+        config["model"]["context"] = 64
+        config["data"]["batch"] = 16
+        config["optim"]["eta"] = 80.0
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "DivergedLoss"
+        assert two_thread_budget[:2] == [1, 2]  # the steps ran sharded
+
     @pytest.mark.parametrize("mode", ["llr", "uniform"])
     def test_no_fittable_matrix_follows_global_schedule(self, tmp_path, mode):
         # d_model 2: every matrix has at most 2 eigenvalues, so no plan is made.

@@ -1,6 +1,10 @@
+import multiprocessing
+import sys
+
 import numpy as np
 import pytest
 
+from tailwise import model
 from tailwise.errors import InvalidConfig, ShapeMismatch, TokenOutOfRange
 from tailwise.model import ModelConfig, build_model, forward_loss, loss_and_grads
 from tailwise.spectral import LayerRole
@@ -186,3 +190,121 @@ class TestOverfit:
         assert losses[-1] < 0.6 * first
         # strictly decreasing in the tail once moments settle
         assert all(b < a for a, b in zip(losses[10:-1], losses[11:]))
+
+
+def _trained_like(cfg):
+    """A model whose weights are moved off their initial scales."""
+    m = build_model(cfg)
+    rng = np.random.default_rng(11)
+    for arr in m.params.values():
+        arr += (rng.standard_normal(arr.shape) * 0.05).astype(arr.dtype)
+    return m
+
+
+def _in_turn(first, second):
+    first()
+    second()
+
+
+def _bytes(loss, grads):
+    return np.float64(loss).tobytes(), {n: (g.dtype, g.tobytes()) for n, g in (grads or {}).items()}
+
+
+class TestRowShards:
+    """Two row shards give the bits of one whole-batch pass, on any core count."""
+
+    CASES = {
+        "d64-B16-T64": (ModelConfig(vocab=64, d_model=64, n_layers=2, n_heads=4, context=64,
+                                    seed=1), 16, 64),
+        "d32-B8-T16": (ModelConfig(vocab=64, d_model=32, n_layers=1, n_heads=2, context=16,
+                                   seed=2), 8, 16),
+        "d256-V16": (ModelConfig(vocab=16, d_model=256, n_layers=2, n_heads=4, context=32,
+                                 seed=3), 4, 32),
+        "tied": (ModelConfig(vocab=64, d_model=64, n_layers=2, n_heads=4, context=32, seed=4,
+                             tie_output_head=True), 6, 32),
+        "f64": (ModelConfig(vocab=64, d_model=64, n_layers=2, n_heads=4, context=64, seed=5,
+                            dtype="f64"), 8, 64),
+        "B3": (ModelConfig(vocab=50, d_model=48, n_layers=2, n_heads=3, context=40, seed=6),
+               3, 37),
+        "B5": (ModelConfig(vocab=64, d_model=64, n_layers=3, n_heads=4, context=64, seed=7),
+               5, 63),
+    }
+
+    @pytest.fixture(params=["in-turn", "threaded"])
+    def pair(self, request):
+        if request.param == "in-turn":
+            return _in_turn
+        # A short switch interval hands the interpreter lock between the
+        # shards as often as it can, so a write to shared state would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        request.addfinalizer(lambda: sys.setswitchinterval(interval))
+        return model._two_threads
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shards_give_whole_batch_bits(self, case, pair):
+        cfg, b, t = self.CASES[case]
+        m = _trained_like(cfg)
+        tokens = np.random.default_rng(3).integers(0, cfg.vocab, size=(b, t + 1))
+        for backward in (True, False):
+            whole = _bytes(*model._step(m, tokens, backward))
+            sharded = _bytes(*model._step(m, tokens, backward, pair))
+            assert sharded == whole
+
+    def test_large_batch_runs_sharded_at_one_blas_thread(self, two_thread_budget, monkeypatch):
+        cfg, b, t = self.CASES["d64-B16-T64"]
+        assert b * t >= model.SHARD_MIN_TOKENS
+        m = _trained_like(cfg)
+        tokens = np.random.default_rng(3).integers(0, cfg.vocab, size=(b, t + 1))
+        whole = _bytes(*model._step(m, tokens, True))
+        pairs = []
+        monkeypatch.setattr(model, "_two_threads",
+                            lambda first, second: pairs.append(1) or _in_turn(first, second))
+        assert _bytes(*loss_and_grads(m, tokens)) == whole
+        assert pairs == [1, 1]  # the row phase, then the weight GEMMs
+        assert two_thread_budget == [1, 2]  # BLAS is back at its budget after the step
+
+    @pytest.mark.parametrize("b, t", [(1, 64), (2, 16)], ids=["batch-1", "few-tokens"])
+    def test_small_batch_runs_whole(self, two_thread_budget, monkeypatch, b, t):
+        cfg = ModelConfig(vocab=64, d_model=64, n_layers=1, n_heads=4, context=64, seed=1)
+        monkeypatch.setattr(model, "_two_threads", None)  # calling it would raise
+        loss_and_grads(build_model(cfg),
+                       np.random.default_rng(3).integers(0, 64, size=(b, t + 1)))
+        assert two_thread_budget == []
+
+    def test_forked_child_runs_sharded(self, two_thread_budget):
+        # The child inherits the parent's worker pool without its thread; a
+        # step that waited on that pool would never return.
+        cfg, b, t = self.CASES["d64-B16-T64"]
+        m = _trained_like(cfg)
+        tokens = np.random.default_rng(3).integers(0, cfg.vocab, size=(b, t + 1))
+        loss_and_grads(m, tokens)
+        child = multiprocessing.get_context("fork").Process(target=loss_and_grads,
+                                                            args=(m, tokens))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
+    def test_worker_shard_error_reaches_caller(self):
+        # Only the second shard's rows hold the overflowing token, so the
+        # error is raised on the worker thread, under the caller's errstate.
+        cfg = ModelConfig(vocab=8, d_model=16, n_layers=1, n_heads=2, context=16, seed=1)
+        m = build_model(cfg)
+        m.params["embed"][7] = 3e38
+        tokens = np.zeros((4, 17), dtype=np.int64)
+        tokens[2:, 5] = 7
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                model._step(m, tokens, True, model._two_threads)
+        with np.errstate(all="ignore"):
+            model._step(m, tokens, True, model._two_threads)  # and no warning, under -W error
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 63, 64, 65])
+    def test_row_max_is_np_max(self, width):
+        x = np.random.default_rng(width).standard_normal((3, 4, width)).astype(np.float32)
+        x[0, 0, -1] = -np.inf
+        x[1] = np.triu(np.full((4, width), -np.inf, dtype=np.float32), k=1) + x[1]
+        assert model._row_max(x).tobytes() == np.max(x, axis=-1, keepdims=True).tobytes()
