@@ -10,14 +10,12 @@ import numpy as np
 
 from .errors import InvalidConfig
 
-COPY_MOTIF_LEN = 6  # random tokens per copy block header
 # Longest stream numpy can hold as one int64 (or float64 draw) array.
 MAX_LENGTH = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 class CorpusKind(Enum):
     MARKOV_CHARS = "markov"
-    MODULAR_COPY = "modular-copy"
 
 
 @dataclass(frozen=True)
@@ -87,38 +85,13 @@ def markov_walk(trans: np.ndarray, a: int, b: int, draws: np.ndarray) -> np.ndar
     return out
 
 
-def _gen_markov(cfg: DataConfig) -> np.ndarray:
+def gen_corpus(cfg: DataConfig) -> np.ndarray:
+    """Deterministic order-2 Markov token stream of exactly cfg.length tokens."""
     trans = markov_transitions(cfg.seed, cfg.vocab)
     rng = np.random.default_rng([cfg.seed, 0x5EED])
     a, b = rng.integers(0, cfg.vocab, size=2)
     draws = rng.random(cfg.length)
     return markov_walk(trans, int(a), int(b), draws[2:])
-
-
-def copy_offset(seed: int, vocab: int) -> int:
-    """Corpus-wide copy offset, a deterministic function of the seed."""
-    return int(np.random.default_rng([seed, 0x0FF5]).integers(1, vocab))
-
-
-def _gen_modular_copy(cfg: DataConfig) -> np.ndarray:
-    # Blocks of [m motif tokens, motif + o, motif + 2*o] for a corpus-wide
-    # offset o: everything after the motif header is determined by it.
-    rng = np.random.default_rng([cfg.seed, 0xC0B1])
-    m = COPY_MOTIF_LEN
-    offset = copy_offset(cfg.seed, cfg.vocab)
-    n_blocks = cfg.length // (3 * m) + 1
-    motifs = rng.integers(0, cfg.vocab, size=(n_blocks, m))
-    blocks = np.concatenate(
-        [motifs, (motifs + offset) % cfg.vocab, (motifs + 2 * offset) % cfg.vocab], axis=1
-    )
-    return blocks.reshape(-1)[: cfg.length].astype(np.int64)
-
-
-def gen_corpus(cfg: DataConfig) -> np.ndarray:
-    """Deterministic token stream of exactly cfg.length tokens."""
-    if cfg.kind is CorpusKind.MARKOV_CHARS:
-        return _gen_markov(cfg)
-    return _gen_modular_copy(cfg)
 
 
 def batch_sampler(cfg: DataConfig, stream: np.ndarray, window: int):

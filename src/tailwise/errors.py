@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InvalidConfig (BadK included) -> 2,
-DataError (ParseError and EmptyInput included) -> 3, NumericalError and
-every other TailwiseError -> 4. A layer whose spectral summary raises a
-DataError or NumericalError does not fail a command: it is excluded from
-the plan and follows the global schedule at eta.
+The CLI maps these onto exit codes: InvalidConfig -> 2, DataError
+(ParseError and EmptyInput included) -> 3, NumericalError and every other
+TailwiseError -> 4. BadK, an InvalidConfig, is raised only when a caller
+passes `hill_alpha` a k outside the spectrum; the fits never do, so no
+command raises it. A layer whose spectral summary raises a DataError or
+NumericalError does not fail a command: it is excluded from the plan and
+follows the global schedule at eta.
 
 Every class either reaches a command's output (the stderr record, or the
 "error" field of an `analyze` layer) or guards a public function's input.

@@ -81,7 +81,11 @@ class Model:
         return [n for n, r in self.roles.items() if r is not LayerRole.NON_MATRIX]
 
     def weight_matrices(self) -> list[WeightMatrix]:
-        """Analyzable 2-D parameters, in construction order (no copies)."""
+        """Analyzable 2-D parameters, in construction order.
+
+        WeightMatrix holds float64 values, so an f32 model's matrices are
+        widened into new arrays; an f64 model's are the parameters themselves.
+        """
         return [WeightMatrix(n, self.roles[n], self.params[n]) for n in self.matrix_names()]
 
 

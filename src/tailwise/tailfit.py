@@ -40,7 +40,6 @@ class FitMethod(Enum):
 @dataclass(frozen=True)
 class FitConfig:
     method: FitMethod = FitMethod.MEDIAN
-    k_override: int | None = None
 
 
 @dataclass
@@ -126,11 +125,7 @@ def fit_alpha(eigs, cfg: FitConfig = FitConfig()) -> tuple[float, int]:
     n = lam.size
     if n < MIN_POSITIVE_EIGS:
         raise TooFewEigenvalues(f"{n} positive eigenvalues, need >= {MIN_POSITIVE_EIGS}")
-    if cfg.k_override is not None:
-        if not 1 <= cfg.k_override <= n - 1:
-            raise BadK(f"k_override={cfg.k_override} outside [1, {n - 1}]")
-        k = cfg.k_override
-    elif cfg.method is FitMethod.MEDIAN:
+    if cfg.method is FitMethod.MEDIAN:
         k = n // 2
     elif cfg.method is FitMethod.FIX_FINGER:
         k = _fix_finger_k(lam)

@@ -137,9 +137,13 @@ def _keep_heap() -> None:
 
 def check_sections(model_cfg: ModelConfig, opt_cfg: OptimConfig, data_cfg: DataConfig,
                    plan_cfg: PlanConfig) -> None:
-    """Raise InvalidConfig unless the sections agree on the vocab and on eta."""
+    """Raise InvalidConfig unless the sections agree on the vocab and on eta
+    and the corpus holds one window: ``context`` tokens and the next one."""
     if data_cfg.vocab != model_cfg.vocab:
         raise InvalidConfig("data vocab must match model vocab")
+    window = model_cfg.context + 1
+    if data_cfg.length < window:
+        raise InvalidConfig(f"corpus length {data_cfg.length} below window {window}")
     if plan_cfg.eta != opt_cfg.eta:
         raise InvalidConfig(f"plan eta {plan_cfg.eta} != optim eta {opt_cfg.eta}: "
                             "a run has one eta")

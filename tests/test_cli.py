@@ -1,13 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
 import types
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailwise.allocate import Assignment, PlanConfig
@@ -321,27 +325,31 @@ CONFIG_SECTIONS = {"model": ModelConfig, "data": DataConfig, "optim": OptimConfi
                    "plan": PlanConfig, "schedule": ScheduleConfig, "fit": FitConfig}
 
 
-def wrongly_typed_fields():
-    """(section, field, value) for each settable config field and JSON value of a wrong type."""
+def section_fields():
+    """(section, field, type) for every settable field of a config section."""
     for section, cls in CONFIG_SECTIONS.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            if not f.init:
-                continue
-            tp = hints[f.name]
-            if isinstance(tp, types.UnionType):  # X | None takes null too
-                tp = typing.get_args(tp)[0]
-            values = [{"x": 1}, 5 if tp is str else "1"]
-            if tp is int:
-                values += [1.5, True]
-            elif tp is float:
-                values += [True]
-            elif tp is bool:
-                values += [1]
-            elif typing.get_origin(tp) is tuple:
-                values += [[0.9, True]]
-            for value in values:
-                yield section, f.name, value
+            if f.init:
+                yield section, f.name, hints[f.name]
+
+
+def wrongly_typed_fields():
+    """(section, field, value) for each settable config field and JSON value of a wrong type."""
+    for section, name, tp in section_fields():
+        if isinstance(tp, types.UnionType):  # X | None takes null too
+            tp = typing.get_args(tp)[0]
+        values = [{"x": 1}, 5 if tp is str else "1"]
+        if tp is int:
+            values += [1.5, True]
+        elif tp is float:
+            values += [True]
+        elif tp is bool:
+            values += [1]
+        elif typing.get_origin(tp) is tuple:
+            values += [[0.9, True]]
+        for value in values:
+            yield section, name, value
 
 
 class TestTrainCommand:
@@ -389,7 +397,7 @@ class TestTrainCommand:
         ({"model": {"widht": 8}}, 2, "InvalidConfig", "unknown keys ['widht']"),
         ({"optim": {"etaa": 1e-3}}, 2, "InvalidConfig", "unknown keys ['etaa']"),
         ({"stepz": 30}, 2, "InvalidConfig", "unknown keys ['stepz']"),
-        ({"fit": {"k_override": 1000}}, 2, "BadK", "k_override=1000"),
+        ({"fit": {"k_override": 1000}}, 2, "InvalidConfig", "fit: unknown keys ['k_override']"),
         ({"plan": {"eta": 1e-2}}, 2, "InvalidConfig", "a run has one eta"),
         ({"model": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
         ({"data": {"seed": -1}}, 2, "InvalidConfig", "seed must be non-negative"),
@@ -408,6 +416,8 @@ class TestTrainCommand:
         ({"model": {"vocab": 10**15}, "data": {"vocab": 10**15}}, 4, "MemoryError",
          "Unable to allocate"),
         ({"data": {"vocab": 8}}, 2, "InvalidConfig", "data vocab must match model vocab"),
+        ({"model": {"context": 8}, "data": {"length": 5}}, 2, "InvalidConfig",
+         "corpus length 5 below window 9"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -422,7 +432,7 @@ class TestTrainCommand:
         record = json.loads(capsys.readouterr().err)  # one record, nothing else
         assert record["error"] == error
         assert words in record["message"]
-        if error == "InvalidConfig":  # every config check runs before --out is made
+        if code == 2:  # every config error is found before --out is made
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section, name, value", [
@@ -549,3 +559,112 @@ class TestTrainCommand:
         with pytest.raises(SystemExit) as info:
             main(["analyze"])  # missing --manifest
         assert info.value.code == 2
+
+
+# A wrongly typed value for any field (some are right by chance), and an
+# out-of-range or non-finite number for a numeric one.
+WRONG_VALUES = [{"x": 1}, "1", 1.5, True, None, [1], [0.9, True]]
+BAD_NUMBERS = [-1, 0, -0.5, 0.0, 10**20, 1e308, math.nan, math.inf, -math.inf]
+# Fields whose default, or a huge value, would make the run more than tiny.
+SIZE_FIELDS = {("config", "steps"), ("model", "d_model"), ("model", "n_layers"),
+               ("data", "length"), ("data", "batch")}
+
+
+def config_fields():
+    """(section, field, type) for "steps" and every settable config field."""
+    yield "config", "steps", int
+    yield from section_fields()
+
+
+NUMERIC_FIELDS = [(s, n) for s, n, tp in config_fields()
+                  if tp in (int, float, int | None)]
+
+
+def put(config, section, name, value):
+    if section == "config":
+        config[name] = value
+    else:
+        config.setdefault(section, {})[name] = value
+
+
+@st.composite
+def train_configs(draw):
+    """A tiny train config with up to three mistakes, or a non-object document."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[], "config", 1, None, [small_config()]]))
+    config = {
+        "steps": draw(st.integers(1, 3)),
+        "model": {"vocab": 16, "d_model": 8, "n_layers": 1, "n_heads": draw(st.sampled_from([1, 2])),
+                  "context": draw(st.integers(1, 16)), "seed": 1},
+        "data": {"kind": "markov", "seed": 1, "length": draw(st.integers(2, 2000)), "vocab": 16,
+                 "batch": draw(st.integers(1, 4))},
+        "optim": {"eta": 2e-3, "mode": draw(st.sampled_from(["llr", "uniform"])),
+                  "optimizer": draw(st.sampled_from(["adamw", "adamw-lars", "adamw-lamb"]))},
+        "plan": {"s": 4.0},
+        "schedule": {},
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["type", "number", "unknown", "missing", "vocab", "eta",
+                                     "t_max", "window"]))
+        if kind == "type":
+            section, name, _ = draw(st.sampled_from(list(config_fields())))
+            put(config, section, name, draw(st.sampled_from(WRONG_VALUES)))
+        elif kind == "number":
+            section, name = draw(st.sampled_from(NUMERIC_FIELDS))
+            bad = [v for v in BAD_NUMBERS if v != 10**20 or (section, name) not in SIZE_FIELDS]
+            put(config, section, name, draw(st.sampled_from(bad)))
+        elif kind == "unknown":
+            section = draw(st.sampled_from(["config", *CONFIG_SECTIONS]))
+            name = draw(st.text("abk_", max_size=3))
+            put(config, section, "z" + name, 1)  # no field name starts with z
+        elif kind == "missing":
+            present = [(s, n) for s, entries in config.items() if isinstance(entries, dict)
+                       for n in entries if (s, n) not in SIZE_FIELDS]
+            present += [(s, None) for s in ("plan", "schedule") if s in config]
+            if present:
+                section, name = draw(st.sampled_from(present))
+                if name is None:
+                    del config[section]
+                else:
+                    del config[section][name]
+        elif kind == "vocab":
+            put(config, "data", "vocab", 16 + draw(st.integers(1, 8)))
+        elif kind == "eta":
+            put(config, "plan", "eta", draw(st.sampled_from([1e-3, 3e-3, 1.0])))
+        elif kind == "t_max":
+            put(config, "schedule", "t_max", draw(st.integers(1, 4)))
+        else:
+            context = config["model"].get("context")
+            if type(context) is int and 2 <= context <= 1000:
+                put(config, "data", "length", draw(st.integers(2, context)))
+    return config
+
+
+# Both once exited 2 with --out left behind: a corpus shorter than the
+# window, and a fit section that set a Hill k larger than any spectrum.
+SHORT_CORPUS = {"steps": 3, "model": {"vocab": 16, "d_model": 8, "n_layers": 1, "n_heads": 2,
+                                      "context": 8},
+                "data": {"length": 5, "batch": 2}, "optim": {"eta": 0.002}}
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(config=train_configs())
+@example(config=SHORT_CORPUS)
+@example(config=SHORT_CORPUS | {"data": {"length": 500, "batch": 2},
+                                "fit": {"k_override": 1000}})
+def test_generated_train_configs_keep_the_exit_contract(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out_dir = Path(tmp) / "run.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert (out_dir / "summary.json").is_file()
+            assert (out_dir / "timeline.csv").is_file()
+        else:
+            (line,) = err.getvalue().splitlines()
+            assert set(json.loads(line)) >= {"error", "message"}
+        if code == 2:
+            assert not out_dir.exists()

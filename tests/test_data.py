@@ -4,13 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailwise.data import (
-    COPY_MOTIF_LEN,
     MAX_LENGTH,
     WALK_CHUNK,
-    CorpusKind,
     DataConfig,
     batch_sampler,
-    copy_offset,
     gen_corpus,
     markov_transitions,
     markov_walk,
@@ -106,36 +103,6 @@ class TestMarkov:
         stationary = pair_stationary(markov_transitions(3, vocab))
         rel = np.abs(freq - stationary) / stationary
         assert rel.max() <= 0.02
-
-
-class TestModularCopy:
-    def cfg(self, **kw):
-        kw.setdefault("kind", CorpusKind.MODULAR_COPY)
-        kw.setdefault("seed", 5)
-        kw.setdefault("length", 3000)
-        kw.setdefault("vocab", 32)
-        return DataConfig(**kw)
-
-    def test_deterministic(self):
-        np.testing.assert_array_equal(gen_corpus(self.cfg()), gen_corpus(self.cfg()))
-
-    def test_blocks_reproducible_from_header(self):
-        cfg = self.cfg()
-        stream = gen_corpus(cfg)
-        m = COPY_MOTIF_LEN
-        offset = copy_offset(cfg.seed, cfg.vocab)
-        block = 3 * m
-        for start in range(0, stream.size - block, block):
-            motif = stream[start : start + m]
-            np.testing.assert_array_equal(
-                stream[start + m : start + 2 * m], (motif + offset) % cfg.vocab
-            )
-            np.testing.assert_array_equal(
-                stream[start + 2 * m : start + 3 * m], (motif + 2 * offset) % cfg.vocab
-            )
-
-    def test_exact_length(self):
-        assert gen_corpus(self.cfg(length=1234)).size == 1234
 
 
 class TestBatchSampler:

@@ -93,13 +93,6 @@ class TestFitAlpha:
         assert k == 2
         assert alpha == pytest.approx(HAND_ALPHA_1248, abs=1e-12)
 
-    def test_k_override_wins(self):
-        lam = np.sort(np.random.default_rng(8).random(8)) + 0.1
-        for method in FitMethod:
-            alpha, k = fit_alpha(lam, FitConfig(method=method, k_override=3))
-            assert k == 3
-            assert alpha == pytest.approx(hill_loop(lam, 3), abs=1e-10)
-
     def test_too_few_eigenvalues(self):
         with pytest.raises(TooFewEigenvalues):
             fit_alpha(np.array([1.0, 2.0, 3.0]))
