@@ -4,6 +4,11 @@ Layout: {"version": 1, "layers": [{"name", "role", "rows", "cols",
 "dtype" ("f32"|"f64"), "file", "byte_offset"}, ...]}. Data files hold
 row-major matrices back to back; matrices are widened to float64 on load
 regardless of stored precision.
+
+`load_manifest` checks the whole manifest when it is called, then returns
+a one-pass iterator that reads each layer only when it is reached. A sweep
+that keeps no earlier layer holds one float64 matrix at a time, so its
+peak memory is about the largest layer in float64, not the checkpoint.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -85,31 +91,58 @@ def _check_ranges(layers: list[ManifestLayer], base: Path) -> None:
             prev_end, prev_name = end, name
 
 
-def load_manifest(path: str | Path) -> list[WeightMatrix]:
-    """Materialize all manifest layers as float64 matrices, in order."""
+def _role(layer: ManifestLayer) -> LayerRole:
+    role = _MATRIX_ROLES.get(layer.role)
+    if role is None:
+        log.warning("%s: unknown role %r, treating as generic 2-D", layer.name, layer.role)
+        role = LayerRole.OTHER_2D
+    return role
+
+
+def _read(layer: ManifestLayer, base: Path) -> np.ndarray:
+    """One layer's stored values, widened to float64.
+
+    The file may have changed since its ranges were checked: a blob now too
+    short raises ByteRangeError, an unreadable one ParseError.
+    """
+    count = layer.rows * layer.cols
+    dtype = _DTYPES[layer.dtype]
+    try:
+        raw = np.fromfile(base / layer.file, dtype=dtype, count=count, offset=layer.byte_offset)
+    except OSError as exc:
+        raise ParseError(f"{layer.file}: cannot read {layer.name}: {exc}") from exc
+    if raw.size != count:
+        end = layer.byte_offset + count * dtype.itemsize
+        raise ByteRangeError(f"{layer.name}: range [{layer.byte_offset}, {end}) exceeds "
+                             f"{layer.file}: it holds {raw.size * dtype.itemsize} bytes there")
+    return raw.astype(np.float64, copy=False).reshape(layer.rows, layer.cols)
+
+
+def _stream(layers: list[ManifestLayer], roles: list[LayerRole],
+            base: Path) -> Iterator[WeightMatrix]:
+    # The matrix is yielded without a local name, so this frame does not
+    # keep it alive while the next layer is read.
+    for layer, role in zip(layers, roles):
+        yield WeightMatrix(layer.name, role, _read(layer, base))
+
+
+def load_manifest(path: str | Path) -> Iterator[WeightMatrix]:
+    """Check a manifest, then stream its layers as float64 matrices, in order.
+
+    Parsing, byte ranges, files and roles (with the unknown-role warning)
+    are checked here, before the first layer is read. The iterator makes
+    one pass and reads each layer when it is reached.
+    """
     path = Path(path)
     layers = parse_manifest(path)
     base = path.parent
     _check_ranges(layers, base)
-    out = []
-    for l in layers:
-        dtype = _DTYPES[l.dtype]
-        count = l.rows * l.cols
-        with open(base / l.file, "rb") as fh:
-            fh.seek(l.byte_offset)
-            raw = fh.read(count * dtype.itemsize)
-        values = np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(l.rows, l.cols)
-        role = _MATRIX_ROLES.get(l.role)
-        if role is None:
-            log.warning("%s: unknown role %r, treating as generic 2-D", l.name, l.role)
-            role = LayerRole.OTHER_2D
-        out.append(WeightMatrix(l.name, role, values))
-    return out
+    return _stream(layers, [_role(l) for l in layers], base)
 
 
 def save_manifest(
     directory: str | Path,
-    matrices: list[WeightMatrix],
+    matrices: Iterable[WeightMatrix],
     dtype: str = "f64",
     data_file: str = "weights.bin",
 ) -> Path:

@@ -14,6 +14,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +45,12 @@ class ModelConfig:
             raise InvalidConfig("vocab, d_model, n_layers, n_heads, context must be positive")
         if not 0.0 < self.ffn_mult < math.inf:
             raise InvalidConfig("ffn_mult must be positive and finite")
+        # build_model draws each FFN matrix as float64; numpy refuses an
+        # array of more bytes than it can index.
+        if (not math.isfinite(self.ffn_mult * self.d_model)
+                or self.ffn_dim * self.d_model * 8 > np.iinfo(np.intp).max):
+            raise InvalidConfig(f"ffn_mult {self.ffn_mult} * d_model {self.d_model} "
+                                "gives an FFN width numpy cannot allocate")
         if self.ffn_dim < 1:
             raise InvalidConfig(f"ffn_mult {self.ffn_mult} * d_model {self.d_model} "
                                 "rounds to an empty FFN (ffn_dim 0)")
@@ -80,13 +87,15 @@ class Model:
     def matrix_names(self) -> list[str]:
         return [n for n, r in self.roles.items() if r is not LayerRole.NON_MATRIX]
 
-    def weight_matrices(self) -> list[WeightMatrix]:
-        """Analyzable 2-D parameters, in construction order.
+    def weight_matrices(self) -> Iterator[WeightMatrix]:
+        """Analyzable 2-D parameters, in construction order, one at a time.
 
         WeightMatrix holds float64 values, so an f32 model's matrices are
-        widened into new arrays; an f64 model's are the parameters themselves.
+        widened into new arrays, each made only when it is reached; an f64
+        model's are the parameters themselves.
         """
-        return [WeightMatrix(n, self.roles[n], self.params[n]) for n in self.matrix_names()]
+        for n in self.matrix_names():
+            yield WeightMatrix(n, self.roles[n], self.params[n])
 
 
 def _xavier(fan_in: int, fan_out: int) -> float:

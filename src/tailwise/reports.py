@@ -9,12 +9,12 @@ as the JSON strings "inf", "-inf", "nan" to keep documents standard JSON.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .allocate import LRPlan, PlanConfig, alpha_range, build_plan
-from .spectral import WeightMatrix
+from .spectral import LayerRole, WeightMatrix
 from .tailfit import FitConfig
-from .train import TrainRun, alpha_std, sweep_summaries
+from .train import TrainRun, alpha_std, noting_layers, sweep_summaries
 
 
 def format_float(x: float) -> str:
@@ -58,23 +58,25 @@ def render_document(doc: dict) -> str:
 
 
 def analysis_report(
-    matrices: Sequence[WeightMatrix],
+    matrices: Iterable[WeightMatrix],
     fit_cfg: FitConfig = FitConfig(),
     plan_cfg: PlanConfig | None = None,
 ) -> dict:
     """Full spectral and alpha sweep; per-layer failures recorded inline.
 
     With a plan config the report also carries the assigned base LRs.
+    ``matrices`` is iterated once.
     """
-    summaries, excluded = sweep_summaries(matrices, fit_cfg)
+    layers: list[tuple[str, LayerRole]] = []
+    summaries, excluded = sweep_summaries(noting_layers(matrices, layers), fit_cfg)
     plan = build_plan(summaries, plan_cfg) if plan_cfg is not None else None
     fitted = {s.layer_name: s for s in summaries}
     records = []
-    for w in matrices:
-        if w.name in excluded:
-            records.append({"name": w.name, "role": w.role.value, "error": excluded[w.name]})
+    for name, role in layers:
+        if name in excluded:
+            records.append({"name": name, "role": role.value, "error": excluded[name]})
             continue
-        s = fitted[w.name]
+        s = fitted[name]
         record = {
             "name": s.layer_name,
             "role": s.role.value,

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import DataError, InvalidConfig, NumericalError
 from .model import ModelConfig, build_model, loss_and_grads
 from .optim import OptimizerKind, adamw_step, init_moments
 from .schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
-from .spectral import WeightMatrix
+from .spectral import LayerRole, WeightMatrix
 from .tailfit import FitConfig, SpectralSummary, summarize
 
 log = logging.getLogger(__name__)
@@ -91,23 +91,40 @@ class TrainRun:
 
 
 def sweep_summaries(
-    matrices: Sequence[WeightMatrix], fit_cfg: FitConfig
+    matrices: Iterable[WeightMatrix], fit_cfg: FitConfig
 ) -> tuple[list[SpectralSummary], dict[str, str]]:
     """Spectral summaries of the fittable matrices, in input order.
 
     A matrix whose spectrum cannot be fitted (too few positive eigenvalues,
     non-finite entries) is excluded: it is returned by name
     with its error text, is left out of every plan, and follows the global
-    schedule at eta. InvalidConfig propagates.
+    schedule at eta. InvalidConfig propagates. ``matrices`` is iterated
+    once, and no matrix is kept once it is summarized.
     """
     summaries, excluded = [], {}
     for w in matrices:
         try:
             summaries.append(summarize(w, fit_cfg))
         except (DataError, NumericalError) as exc:
-            log.warning("excluding %s from allocation: %s", w.name, exc)
+            # Logged as text: a kept log record must not keep the matrix
+            # alive through the exception's traceback.
+            log.warning("excluding %s from allocation: %s", w.name, str(exc))
             excluded[w.name] = f"{type(exc).__name__}: {exc}"
+        del w  # else it stays alive while the next matrix is made
     return summaries, excluded
+
+
+def noting_layers(matrices: Iterable[WeightMatrix],
+                  layers: list[tuple[str, LayerRole]]) -> Iterator[WeightMatrix]:
+    """Pass ``matrices`` through, appending each one's (name, role) to ``layers``.
+
+    Holds no matrix itself, so a one-pass stream still goes one layer at a time.
+    """
+    def note(w: WeightMatrix) -> WeightMatrix:
+        layers.append((w.name, w.role))
+        return w
+
+    return map(note, matrices)
 
 
 def alpha_std(summaries: list[SpectralSummary]) -> float:

@@ -418,6 +418,8 @@ class TestTrainCommand:
         ({"data": {"vocab": 8}}, 2, "InvalidConfig", "data vocab must match model vocab"),
         ({"model": {"context": 8}, "data": {"length": 5}}, 2, "InvalidConfig",
          "corpus length 5 below window 9"),
+        ({"model": {"ffn_mult": 1e308}}, 2, "InvalidConfig", "FFN width numpy cannot allocate"),
+        ({"model": {"ffn_mult": 1e300}}, 2, "InvalidConfig", "FFN width numpy cannot allocate"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailwise.cli
 from tailwise.cli import main
 from tailwise.errors import ByteRangeError, ParseError
 from tailwise.manifest import load_manifest, save_manifest
@@ -29,9 +31,9 @@ class TestRoundTrip:
     def test_f64_round_trip_bit_identical(self, tmp_path):
         model = build_model(ModelConfig(vocab=16, d_model=16, n_layers=1, n_heads=2,
                                         context=8, seed=4, dtype="f64"))
-        original = model.weight_matrices()
+        original = list(model.weight_matrices())
         path = save_manifest(tmp_path, original, dtype="f64")
-        loaded = load_manifest(path)
+        loaded = list(load_manifest(path))
         assert [w.name for w in loaded] == [w.name for w in original]
         assert [w.role for w in loaded] == [w.role for w in original]
         for a, b in zip(original, loaded):
@@ -40,7 +42,7 @@ class TestRoundTrip:
     def test_f32_widening_exact(self, tmp_path):
         original = tiny_matrices()
         path = save_manifest(tmp_path, original, dtype="f32")
-        loaded = load_manifest(path)
+        loaded = list(load_manifest(path))
         for a, b in zip(original, loaded):
             np.testing.assert_array_equal(a.values.astype(np.float32).astype(np.float64),
                                           b.values)
@@ -75,7 +77,7 @@ class TestValidation:
         path = self.write_manifest(
             tmp_path, [self.layer("a", offset=0), self.layer("b", offset=32)]
         )
-        assert len(load_manifest(path)) == 2
+        assert len(list(load_manifest(path))) == 2
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = self.write_manifest(tmp_path, [self.layer("a"), self.layer("a", offset=32)])
@@ -107,9 +109,40 @@ class TestValidation:
     def test_unknown_role_maps_to_other_with_warning(self, tmp_path, caplog):
         path = self.write_manifest(tmp_path, [self.layer() | {"role": "mystery"}])
         with caplog.at_level("WARNING"):
-            loaded = load_manifest(path)
+            loaded = list(load_manifest(path))
         assert loaded[0].role is LayerRole.OTHER_2D
         assert any("mystery" in rec.message for rec in caplog.records)
+
+    def test_blob_cut_short_after_the_check(self, tmp_path, monkeypatch, capsys):
+        # Each layer is read when the sweep reaches it, after the ranges were
+        # checked; a blob cut short in between is a byte-range error (exit 3).
+        path = save_manifest(tmp_path, tiny_matrices(), dtype="f32")
+        blob = tmp_path / "weights.bin"
+        cut = 4 * (6 * 4 + 4 * 4 + 1)  # one value into the third layer
+        layers = load_manifest(path)
+        os.truncate(blob, cut)
+        assert [next(layers).name, next(layers).name] == ["embed", "blocks.0.att.q"]
+        with pytest.raises(ByteRangeError, match=r"blocks.0.ffn.up: range \[160, 288\)"):
+            next(layers)
+
+        save_manifest(tmp_path, tiny_matrices(), dtype="f32")
+        real = tailwise.cli.load_manifest
+
+        def check_then_cut(manifest):
+            checked = real(manifest)
+            os.truncate(blob, cut)
+            return checked
+
+        monkeypatch.setattr(tailwise.cli, "load_manifest", check_then_cut)
+        assert main(["analyze", "--manifest", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "ByteRangeError"
+
+    def test_blob_removed_after_the_check(self, tmp_path):
+        path = save_manifest(tmp_path, tiny_matrices())
+        layers = load_manifest(path)
+        os.remove(tmp_path / "weights.bin")
+        with pytest.raises(ParseError, match="weights.bin: cannot read embed"):
+            next(layers)
 
     def test_row_major_little_endian_layout(self, tmp_path):
         values = np.arange(6, dtype="<f8").reshape(2, 3)
@@ -120,7 +153,7 @@ class TestValidation:
             "layers": [{"name": "w", "role": "other", "rows": 2, "cols": 3,
                         "dtype": "f64", "file": "weights.bin", "byte_offset": 0}],
         }))
-        loaded = load_manifest(path)
+        loaded = list(load_manifest(path))
         np.testing.assert_array_equal(loaded[0].values, [[0, 1, 2], [3, 4, 5]])
 
 
@@ -173,11 +206,11 @@ def test_valid_manifests_round_trip_bit_for_bit(checkpoint):
     entries, blobs, expected = checkpoint
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        loaded = load_manifest(write_checkpoint(tmp, entries, blobs))
+        loaded = list(load_manifest(write_checkpoint(tmp, entries, blobs)))
         assert [(w.name, w.role.value) for w in loaded] == [(e["name"], e["role"]) for e in entries]
         for w, want in zip(loaded, expected):
             assert w.values.dtype == np.float64 and w.values.tobytes() == want.tobytes()
-        again = load_manifest(save_manifest(tmp / "copy", loaded))
+        again = list(load_manifest(save_manifest(tmp / "copy", loaded)))
         assert [(w.name, w.role) for w in again] == [(w.name, w.role) for w in loaded]
         for a, b in zip(again, loaded):
             assert a.values.tobytes() == b.values.tobytes()

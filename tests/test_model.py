@@ -31,7 +31,7 @@ class TestBuildModel:
 
     def test_matrix_census(self):
         m = build_model(ModelConfig(n_layers=2))
-        mats = m.weight_matrices()
+        mats = list(m.weight_matrices())
         assert len(mats) == 2 * 7 + 2  # blocks + embedding + output head
         roles = [w.role for w in mats]
         assert roles.count(LayerRole.EMBEDDING) == 1
@@ -42,7 +42,7 @@ class TestBuildModel:
     def test_tied_head_aliases_embedding(self):
         m = build_model(ModelConfig(tie_output_head=True))
         assert "output_head" not in m.params
-        assert len(m.weight_matrices()) == 2 * 7 + 1
+        assert len(list(m.weight_matrices())) == 2 * 7 + 1
 
     def test_non_matrix_params_exist(self):
         m = build_model(ModelConfig(n_layers=2))

@@ -1,12 +1,16 @@
 import ctypes
+import gc
 import importlib
 import json
 import math
 import resource
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import tailwise.cli
 import tailwise.schedule
 import tailwise.train
 from tailwise.allocate import PlanConfig
@@ -16,6 +20,7 @@ from tailwise.errors import InvalidConfig
 from tailwise.manifest import save_manifest
 from tailwise.model import ModelConfig, build_model
 from tailwise.schedule import ScheduleConfig, ScheduleState, lrs_at, on_step
+from tailwise.spectral import LayerRole, WeightMatrix
 from tailwise.train import OptimConfig, TrainMode, TrainRun, run_training
 
 STEPS = 120
@@ -222,6 +227,13 @@ class TestHeapPolicy:
         assert got.lr_timeline == expected.lr_timeline
 
 
+def checkpoint_argv(command, manifest, out):
+    """Arguments of `tailwise analyze|plan|schedule` over ``manifest``."""
+    extra = {"analyze": [], "plan": ["--eta", "1e-3"],
+             "schedule": ["--eta", "1e-3", "--steps", "10"]}[command]
+    return [command, "--manifest", str(manifest), "--out", str(out), *extra]
+
+
 class TestBenchmarkMarkSites:
     def test_mark_sites_resolve_and_fire_in_order(self, monkeypatch):
         # perfbench/launch.py times setup and the first step by patching these
@@ -254,3 +266,94 @@ class TestBenchmarkMarkSites:
         assert calls[0] == "on_step"
         assert calls.index("sweep_summaries") < calls.index("loss_and_grads")
         assert len(plans) == len(r.recompute_steps) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "schedule"])
+    def test_checkpoint_commands_load_once_before_the_sweep(self, tmp_path, monkeypatch,
+                                                           command):
+        # perfbench/launch.py marks the first manifest read, and spans
+        # manifest.load_manifest, at tailwise.cli.load_manifest: each checkpoint
+        # command calls it once, and it checks the whole manifest before the
+        # first layer is summarized.
+        calls = []
+        for module, name in [(tailwise.cli, "load_manifest"), (tailwise.train, "summarize")]:
+            def record(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+        manifest = save_manifest(tmp_path, build_model(MODEL).weight_matrices(), dtype="f32")
+        argv = checkpoint_argv(command, manifest, tmp_path / "out")
+        assert main(argv) == 0
+        assert calls == ["load_manifest"] + ["summarize"] * 16
+
+        # The last layer runs past its file: refused before any layer is read.
+        doc = json.loads(manifest.read_text())
+        doc["layers"][-1]["byte_offset"] += 4
+        manifest.write_text(json.dumps(doc))
+        calls.clear()
+        assert main(argv) == 3
+        assert calls == ["load_manifest"]
+
+
+def unfittable_checkpoint(directory):
+    """An f32 manifest of four layers, the second of them too small to fit."""
+    rng = np.random.default_rng(3)
+    return save_manifest(directory, [
+        WeightMatrix("embed", LayerRole.EMBEDDING, rng.standard_normal((40, 16))),
+        WeightMatrix("tiny", LayerRole.ATT_Q, rng.standard_normal((2, 3))),
+        WeightMatrix("blocks.0.att.k", LayerRole.ATT_K, rng.standard_normal((16, 16))),
+        WeightMatrix("blocks.0.ffn.up", LayerRole.FFN_UP, rng.standard_normal((16, 48))),
+    ], dtype="f32")
+
+
+class TestOneLayerAtATime:
+    """A sweep widens one matrix to float64 at a time and keeps none it has summarized."""
+
+    @pytest.fixture
+    def summarized(self, monkeypatch):
+        names = []
+        arrays = []  # a weak reference to each summarized matrix's values
+        real = tailwise.train.summarize
+
+        def summarize(w, *args, **kwargs):
+            gc.collect()
+            alive = [n for n, ref in zip(names, arrays) if ref() is not None]
+            assert not alive, f"{alive} still alive when {w.name} is summarized"
+            names.append(w.name)
+            arrays.append(weakref.ref(w.values))
+            return real(w, *args, **kwargs)
+
+        monkeypatch.setattr(tailwise.train, "summarize", summarize)
+        return names
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "schedule"])
+    def test_checkpoint_command(self, tmp_path, summarized, command):
+        assert main(checkpoint_argv(command, unfittable_checkpoint(tmp_path),
+                                    tmp_path / "out")) == 0
+        assert summarized == ["embed", "tiny", "blocks.0.att.k", "blocks.0.ffn.up"]
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "schedule"])
+    def test_checkpoint_command_peak_memory(self, tmp_path, command):
+        # Reading a layer holds its stored f32 values and their float64 copy:
+        # 1.5 layers in float64. One more layer kept alive during the read
+        # would make it 2.5, and the whole checkpoint in float64 4.5.
+        rng = np.random.default_rng(0)
+        manifest = save_manifest(tmp_path, (
+            WeightMatrix(f"w{i}", LayerRole.OTHER_2D, rng.standard_normal((65536, 8)))
+            for i in range(4)), dtype="f32")
+        layer_bytes = 65536 * 8 * 8
+        argv = checkpoint_argv(command, manifest, tmp_path / "out")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * layer_bytes, f"peak {peak / layer_bytes:.2f} layers in float64"
+
+    def test_training_sweep(self, summarized):
+        assert MODEL.dtype == "f32"  # so each swept matrix is a new float64 array
+        r = run_training(MODEL, OptimConfig(), DATA, PlanConfig(eta=1e-3), ScheduleConfig(t_max=2))
+        assert len(r.recompute_steps) == 1
+        assert summarized == build_model(MODEL).matrix_names()
