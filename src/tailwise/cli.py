@@ -31,9 +31,8 @@ from .reports import (
     timeline_csv,
 )
 from .schedule import BaseSchedule, ScheduleConfig, base_lr_at
-from .spectral import LayerRole
 from .tailfit import FitConfig, FitMethod
-from .train import OptimConfig, check_sections, noting_layers, run_training, sweep_summaries
+from .train import OptimConfig, check_sections, run_training, sweep_summaries
 
 
 def _write(out: str | Path | None, text: str) -> None:
@@ -103,11 +102,10 @@ def cmd_schedule(args) -> int:
     )
     # Alphas are frozen from the manifest, so every recompute would rebuild
     # this plan, and an unchanged plan follows the base schedule at its peak.
-    layers: list[tuple[str, LayerRole]] = []
-    summaries, _ = sweep_summaries(noting_layers(matrices, layers), _fit_config(args))
+    summaries, layers = sweep_summaries(matrices, _fit_config(args))
     plan = build_plan(summaries, plan_cfg)
     peaks = [(name, plan.base_lr(name) if plan is not None and name in plan
-              else plan_cfg.eta) for name, _ in layers]
+              else plan_cfg.eta) for name, _, _ in layers]
     rows = [(t, name, base_lr_at(cfg, peak, t)) for t in range(args.steps) for name, peak in peaks]
     _write(args.out, timeline_csv(rows))
     return 0

@@ -45,12 +45,13 @@ class ModelConfig:
             raise InvalidConfig("vocab, d_model, n_layers, n_heads, context must be positive")
         if not 0.0 < self.ffn_mult < math.inf:
             raise InvalidConfig("ffn_mult must be positive and finite")
-        # build_model draws each FFN matrix as float64; numpy refuses an
-        # array of more bytes than it can index.
+        # build_model draws each FFN, embedding and head matrix as float64;
+        # numpy refuses an array of more bytes than it can index.
         if (not math.isfinite(self.ffn_mult * self.d_model)
-                or self.ffn_dim * self.d_model * 8 > np.iinfo(np.intp).max):
-            raise InvalidConfig(f"ffn_mult {self.ffn_mult} * d_model {self.d_model} "
-                                "gives an FFN width numpy cannot allocate")
+                or max(self.vocab, self.ffn_dim) * self.d_model * 8 > np.iinfo(np.intp).max):
+            raise InvalidConfig(f"vocab {self.vocab}, d_model {self.d_model} and ffn_mult "
+                                f"{self.ffn_mult} give an embedding or FFN width numpy "
+                                "cannot allocate")
         if self.ffn_dim < 1:
             raise InvalidConfig(f"ffn_mult {self.ffn_mult} * d_model {self.d_model} "
                                 "rounds to an empty FFN (ffn_dim 0)")

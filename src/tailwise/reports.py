@@ -12,9 +12,9 @@ import math
 from typing import Iterable, Sequence
 
 from .allocate import LRPlan, PlanConfig, alpha_range, build_plan
-from .spectral import LayerRole, WeightMatrix
+from .spectral import WeightMatrix
 from .tailfit import FitConfig
-from .train import TrainRun, alpha_std, noting_layers, sweep_summaries
+from .train import TrainRun, alpha_std, sweep_summaries
 
 
 def format_float(x: float) -> str:
@@ -67,16 +67,15 @@ def analysis_report(
     With a plan config the report also carries the assigned base LRs.
     ``matrices`` is iterated once.
     """
-    layers: list[tuple[str, LayerRole]] = []
-    summaries, excluded = sweep_summaries(noting_layers(matrices, layers), fit_cfg)
+    summaries, layers = sweep_summaries(matrices, fit_cfg)
     plan = build_plan(summaries, plan_cfg) if plan_cfg is not None else None
-    fitted = {s.layer_name: s for s in summaries}
+    fitted = iter(summaries)
     records = []
-    for name, role in layers:
-        if name in excluded:
-            records.append({"name": name, "role": role.value, "error": excluded[name]})
+    for name, role, error in layers:
+        if error is not None:
+            records.append({"name": name, "role": role.value, "error": error})
             continue
-        s = fitted[name]
+        s = next(fitted)
         record = {
             "name": s.layer_name,
             "role": s.role.value,

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -92,39 +92,30 @@ class TrainRun:
 
 def sweep_summaries(
     matrices: Iterable[WeightMatrix], fit_cfg: FitConfig
-) -> tuple[list[SpectralSummary], dict[str, str]]:
-    """Spectral summaries of the fittable matrices, in input order.
+) -> tuple[list[SpectralSummary], list[tuple[str, LayerRole, str | None]]]:
+    """Spectral summaries of the fittable matrices, and every matrix's outcome.
 
-    A matrix whose spectrum cannot be fitted (too few positive eigenvalues,
-    non-finite entries) is excluded: it is returned by name
-    with its error text, is left out of every plan, and follows the global
-    schedule at eta. InvalidConfig propagates. ``matrices`` is iterated
-    once, and no matrix is kept once it is summarized.
+    Returns ``(summaries, layers)``: the summaries in input order, and each
+    input matrix in order as ``(name, role, error)``. A matrix whose
+    spectrum cannot be fitted (too few positive eigenvalues, non-finite
+    entries) has its error text there, is left out of every plan, and
+    follows the global schedule at eta; a fitted one has ``None``.
+    InvalidConfig propagates. ``matrices`` is iterated once, and no matrix
+    is kept once it is summarized.
     """
-    summaries, excluded = [], {}
+    summaries, layers = [], []
     for w in matrices:
+        error = None
         try:
             summaries.append(summarize(w, fit_cfg))
         except (DataError, NumericalError) as exc:
             # Logged as text: a kept log record must not keep the matrix
             # alive through the exception's traceback.
             log.warning("excluding %s from allocation: %s", w.name, str(exc))
-            excluded[w.name] = f"{type(exc).__name__}: {exc}"
+            error = f"{type(exc).__name__}: {exc}"
+        layers.append((w.name, w.role, error))
         del w  # else it stays alive while the next matrix is made
-    return summaries, excluded
-
-
-def noting_layers(matrices: Iterable[WeightMatrix],
-                  layers: list[tuple[str, LayerRole]]) -> Iterator[WeightMatrix]:
-    """Pass ``matrices`` through, appending each one's (name, role) to ``layers``.
-
-    Holds no matrix itself, so a one-pass stream still goes one layer at a time.
-    """
-    def note(w: WeightMatrix) -> WeightMatrix:
-        layers.append((w.name, w.role))
-        return w
-
-    return map(note, matrices)
+    return summaries, layers
 
 
 def alpha_std(summaries: list[SpectralSummary]) -> float:

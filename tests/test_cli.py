@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tailwise.allocate import Assignment, PlanConfig
 from tailwise.cli import main
 from tailwise.data import DataConfig
-from tailwise.manifest import save_manifest
+from tailwise.manifest import load_manifest, save_manifest
 from tailwise.model import ModelConfig
 from tailwise.reports import analysis_report, dumps, format_float, timeline_csv
 from tailwise.schedule import (
@@ -96,6 +96,29 @@ class TestExclusionRule:
         for step, layer, lr in rows:
             if layer in ("embed", "output_head"):
                 assert float(lr) == base_lr_at(train_cfg, 2e-3, int(step))
+
+    def test_sweep_returns_every_layer_in_order(self, tmp_path):
+        # The first and last layers cannot be fitted: 2 eigenvalues, and a NaN.
+        rng = np.random.default_rng(6)
+        nan_head = rng.standard_normal((24, 16))
+        nan_head[3, 5] = math.nan
+        mats = [
+            WeightMatrix("tiny", LayerRole.EMBEDDING, rng.standard_normal((2, 3))),
+            WeightMatrix("blocks.0.att.q", LayerRole.ATT_Q, rng.standard_normal((16, 16))),
+            WeightMatrix("blocks.0.ffn.up", LayerRole.FFN_UP, rng.standard_normal((16, 48))),
+            WeightMatrix("output_head", LayerRole.OUTPUT_HEAD, nan_head),
+        ]
+        manifest = save_manifest(tmp_path, mats)
+        summaries, layers = sweep_summaries(load_manifest(manifest), FitConfig())
+        assert [(name, role) for name, role, _ in layers] == [(w.name, w.role) for w in mats]
+
+        report_path = tmp_path / "r.json"
+        assert main(["analyze", "--manifest", str(manifest), "--out", str(report_path)]) == 0
+        records = json.loads(report_path.read_text())["layers"]
+        assert [error for _, _, error in layers] == [r.get("error") for r in records]
+        assert [error is None for _, _, error in layers] == [False, True, True, False]
+        assert [(s.layer_name, s.role) for s in summaries] == [
+            (name, role) for name, role, error in layers if error is None]
 
     def test_plan_with_no_fittable_layer_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -237,8 +260,8 @@ def unfittable_manifest(tmp_path_factory):
         WeightMatrix("blocks.0.att.k", LayerRole.ATT_K, rng.standard_normal((16, 16))),
         WeightMatrix("blocks.0.ffn.up", LayerRole.FFN_UP, rng.standard_normal((16, 48))),
     ]
-    summaries, excluded = sweep_summaries(mats, FitConfig())
-    assert list(excluded) == ["tiny"]
+    summaries, layers = sweep_summaries(mats, FitConfig())
+    assert [name for name, _, error in layers if error is not None] == ["tiny"]
     assert all(s.alpha > 1.0 for s in summaries)  # every assignment can plan over them
     return save_manifest(tmp, mats), mats, tmp / "t.csv"
 
@@ -420,6 +443,8 @@ class TestTrainCommand:
          "corpus length 5 below window 9"),
         ({"model": {"ffn_mult": 1e308}}, 2, "InvalidConfig", "FFN width numpy cannot allocate"),
         ({"model": {"ffn_mult": 1e300}}, 2, "InvalidConfig", "FFN width numpy cannot allocate"),
+        ({"model": {"vocab": 10**18}, "data": {"vocab": 10**18}}, 2, "InvalidConfig",
+         "FFN width numpy cannot allocate"),
     ])
     def test_bad_config_exit_codes(self, tmp_path, capsys, patch, code, error, words):
         config = small_config(steps=10)
@@ -582,6 +607,10 @@ NUMERIC_FIELDS = [(s, n) for s, n, tp in config_fields()
                   if tp in (int, float, int | None)]
 
 
+# An embedding of this many rows has more float64 bytes than numpy can index.
+HUGE_VOCAB = 10**18
+
+
 def put(config, section, name, value):
     if section == "config":
         config[name] = value
@@ -607,7 +636,7 @@ def train_configs(draw):
     }
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["type", "number", "unknown", "missing", "vocab", "eta",
-                                     "t_max", "window"]))
+                                     "t_max", "window", "huge_vocab"]))
         if kind == "type":
             section, name, _ = draw(st.sampled_from(list(config_fields())))
             put(config, section, name, draw(st.sampled_from(WRONG_VALUES)))
@@ -635,6 +664,9 @@ def train_configs(draw):
             put(config, "plan", "eta", draw(st.sampled_from([1e-3, 3e-3, 1.0])))
         elif kind == "t_max":
             put(config, "schedule", "t_max", draw(st.integers(1, 4)))
+        elif kind == "huge_vocab":  # vocabs agree, so the model's size rule refuses it
+            put(config, "model", "vocab", HUGE_VOCAB)
+            put(config, "data", "vocab", HUGE_VOCAB)
         else:
             context = config["model"].get("context")
             if type(context) is int and 2 <= context <= 1000:
@@ -670,3 +702,5 @@ def test_generated_train_configs_keep_the_exit_contract(config):
             assert set(json.loads(line)) >= {"error", "message"}
         if code == 2:
             assert not out_dir.exists()
+        if isinstance(config, dict) and config.get("model", {}).get("vocab") == HUGE_VOCAB:
+            assert code == 2
